@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainError, ParseError, SpecError
 from .geodesics import catalog_to_json_dict, enumerate_maximal_geodesics
@@ -25,6 +24,7 @@ from .graphs import (
 )
 from .solvers import (
     SolveLimits,
+    duality_check,
     gpack_report,
     gt_report,
     solve_result_to_json_dict,
@@ -43,11 +43,6 @@ def _add_limit_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap", type=int, default=100_000, help="maximal-geodesic enumeration cap")
     parser.add_argument("--time-budget", type=float, default=60.0, help="solver time budget in seconds")
     parser.add_argument("--node-budget", type=int, default=10_000_000, help="solver search-node budget")
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="allow concurrent branch exploration (values are identical; currently runs the sequential engine)",
-    )
 
 
 def _limits(args: argparse.Namespace) -> SolveLimits:
@@ -69,10 +64,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2))
-
-
-def _frac_str(f: Fraction) -> str:
-    return str(f)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -158,7 +149,6 @@ _RATIO_FAMILIES = ("rook", "complete", "complete_bipartite")
 
 def cmd_ratio(args: argparse.Namespace) -> int:
     from .graphs import complete_bipartite_graph, complete_graph, rook_graph
-    from .solvers import gpack_value, gt_value
 
     limits = _limits(args)
     rows = []
@@ -171,16 +161,15 @@ def cmd_ratio(args: argparse.Namespace) -> int:
             g = complete_graph(n)
         else:
             g = complete_bipartite_graph(n, n)
-        gp = gpack_value(g, limits)
-        gt = gt_value(g, limits)
+        report = duality_check(g, limits)
         row = {
             "n": n,
-            "gpack": gp,
-            "gt": gt,
-            "ratio": _frac_str(Fraction(gt, gp)),
+            "gpack": report.gpack,
+            "gt": report.gt,
+            "ratio": str(report.ratio),
         }
         if args.family == "rook":
-            row["curve"] = _frac_str(rook_ratio_curve(n))
+            row["curve"] = str(rook_ratio_curve(n))
         rows.append(row)
     if args.format == "json":
         _emit_json({"family": args.family, "rows": rows})

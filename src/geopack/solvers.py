@@ -1,9 +1,13 @@
 """Exact solvers for geodesic packing (gpack) and geodesic transversal (gt).
 
-gpack is solved as a maximum independent set on the conflict graph of the
-maximal-geodesic catalog; gt as a minimum hitting set over the same catalog.
-Both use deterministic branch and bound over bitmasks, and both report a
-lexicographically least optimal witness so outputs are reproducible.
+gpack packs pairwise vertex-disjoint entries of the maximal-geodesic catalog,
+a maximum independent set of their intersection graph; the induced-P3
+packing of the NP-completeness reduction runs on the same packing engine.
+gt is a minimum hitting set over the same catalog.  Each invariant has one
+deterministic bitmask branch and bound that takes a starting bound and a
+stop target: run to the end it finds the optimum, and stopped at a target it
+decides the prefix-feasibility tests that build a lexicographically least
+optimal witness, so outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -61,14 +65,6 @@ class Transversal:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class ConflictGraph:
-    """Intersection graph of catalog entries; gpack is its maximum independent set."""
-
-    node_count: int
-    edges: tuple[tuple[int, int], ...]
-
-
 class SolveStats(NamedTuple):
     nodes: int
     millis: int
@@ -105,52 +101,23 @@ class _Budget:
             raise BudgetExceeded("time budget exhausted", nodes=self.nodes)
 
 
-def _vertex_masks(geodesics: Sequence[Geodesic]) -> list[int]:
-    masks = []
-    for p in geodesics:
-        m = 0
-        for v in p.vertices:
-            m |= 1 << v
-        masks.append(m)
-    return masks
-
-
-def _cover_masks(geodesics: Sequence[Geodesic], n: int) -> list[int]:
+def _masks(sets: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int]]:
+    """Vertex mask of each set, and for each vertex the mask of the sets holding it."""
+    vmasks = []
     covers = [0] * n
-    for j, p in enumerate(geodesics):
+    for j, vertices in enumerate(sets):
         bit = 1 << j
-        for v in p.vertices:
-            covers[v] |= bit
-    return covers
-
-
-def _conflict_masks(geodesics: Sequence[Geodesic], covers: Sequence[int]) -> list[int]:
-    nbr = []
-    for i, p in enumerate(geodesics):
         m = 0
-        for v in p.vertices:
-            m |= covers[v]
-        nbr.append(m & ~(1 << i))
-    return nbr
-
-
-def conflict_graph(catalog: GeodesicCatalog) -> ConflictGraph:
-    """Materialize the intersection graph of a complete catalog."""
-    if not catalog.complete:
-        raise EnumerationOverflow("conflict graph needs a complete catalog")
-    geos = catalog.geodesics
-    vmasks = _vertex_masks(geos)
-    edges = [
-        (i, j)
-        for i in range(len(geos))
-        for j in range(i + 1, len(geos))
-        if vmasks[i] & vmasks[j]
-    ]
-    return ConflictGraph(len(geos), tuple(edges))
+        for v in vertices:
+            m |= 1 << v
+            covers[v] |= bit
+        vmasks.append(m)
+    return vmasks, covers
 
 
 # ---------------------------------------------------------------------------
-# Maximum independent set engine (gpack, induced P3 packing)
+# Packing engine: maximum independent set of the sets' intersection graph
+# (gpack, induced P3 packing)
 # ---------------------------------------------------------------------------
 
 def _greedy_independent(nbr: Sequence[int], m: int) -> int:
@@ -208,24 +175,31 @@ def _pick_mis_vertex(cand: int, nbr: Sequence[int]) -> int:
     return best_v
 
 
-def _mis_max(
+def _mis_search(
     nbr: Sequence[int],
     vmasks: Sequence[int],
     min_size: int,
-    m: int,
-    hard_ub: int,
+    cand: int,
+    best: int,
+    target: int,
     budget: _Budget,
 ) -> int:
-    best = _greedy_independent(nbr, m).bit_count()
-    if best >= hard_ub:
+    """Largest independent set inside ``cand`` if it beats ``best``, else ``best``.
+
+    The search stops as soon as it reaches ``target``.  With ``best`` a known
+    size and ``target`` the size cap it finds the optimum; with
+    ``best = need - 1`` and ``target = need`` it decides whether ``need`` fits.
+    """
+    best = max(best, 0)  # the empty set is always independent
+    if best >= target:
         return best
-    stack = [((1 << m) - 1, 0)]
+    stack = [(cand, 0)]
     while stack:
         cand, size = stack.pop()
         budget.spend()
         if size > best:
             best = size
-            if best >= hard_ub:
+            if best >= target:
                 break
         if not cand:
             continue
@@ -245,67 +219,56 @@ def _mis_max(
     return best
 
 
-def _mis_feasible(
-    nbr: Sequence[int],
-    vmasks: Sequence[int],
-    min_size: int,
-    cand: int,
-    need: int,
+def _pack(
+    sets: Sequence[Sequence[int]],
+    n: int,
+    what: str,
     budget: _Budget,
-) -> bool:
-    if need <= 0:
-        return True
-    stack = [(cand, 0)]
-    while stack:
-        cand, size = stack.pop()
-        budget.spend()
-        if size >= need:
-            return True
-        if not cand:
-            continue
-        bound = min(
-            cand.bit_count(),
-            _clique_cover_bound(cand, nbr),
-            _vertex_budget_bound(cand, vmasks, min_size),
-        )
-        if size + bound < need:
-            continue
-        v = _pick_mis_vertex(cand, nbr)
-        bit = 1 << v
-        stack.append((cand & ~bit, size))
-        stack.append((cand & ~(nbr[v] | bit), size + 1))
-    return False
-
-
-def _mis_lex_witness(
-    nbr: Sequence[int],
-    vmasks: Sequence[int],
-    min_size: int,
-    m: int,
-    k: int,
-    budget: _Budget,
-) -> list[int]:
-    # Greedy left-to-right commit; feasibility of each prefix is decided
-    # exactly, so the result is the lexicographically least optimal set.
-    chosen: list[int] = []
-    cand = (1 << m) - 1
-    need = k
-    while need:
-        c = cand
-        committed = False
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            rest = cand & ~nbr[v] & ~((1 << (v + 1)) - 1)
-            if _mis_feasible(nbr, vmasks, min_size, rest, need - 1, budget):
-                chosen.append(v)
-                cand = rest
-                need -= 1
-                committed = True
-                break
-        if not committed:
-            raise ContractViolation("witness extraction failed to match the optimum")
-    return chosen
+    want_witness: bool,
+) -> tuple[int, list[int] | None]:
+    """Maximum number of pairwise disjoint vertex sets, with the lexicographically
+    least optimal list of set indices when ``want_witness``."""
+    m = len(sets)
+    if m == 0:
+        return 0, [] if want_witness else None
+    vmasks, covers = _masks(sets, n)
+    nbr = []
+    for j, vertices in enumerate(sets):
+        c = 0
+        for v in vertices:
+            c |= covers[v]
+        nbr.append(c & ~(1 << j))
+    min_size = min(map(len, sets))
+    upper = n // min_size
+    greedy = _greedy_independent(nbr, m).bit_count()
+    try:
+        value = _mis_search(nbr, vmasks, min_size, (1 << m) - 1, greedy, upper, budget)
+        if not want_witness:
+            return value, None
+        # Commit the lowest set whose remainder still fits the optimum; each
+        # prefix test is exact, so the result is the lex-least optimal set.
+        chosen: list[int] = []
+        cand = (1 << m) - 1
+        for need in range(value - 1, -1, -1):
+            c = cand
+            while c:
+                v = (c & -c).bit_length() - 1
+                c &= c - 1
+                rest = cand & ~nbr[v] & ~((1 << (v + 1)) - 1)
+                if _mis_search(nbr, vmasks, min_size, rest, need - 1, need, budget) >= need:
+                    chosen.append(v)
+                    cand = rest
+                    break
+            else:
+                raise ContractViolation("witness extraction failed to match the optimum")
+        return value, chosen
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(
+            f"{what} stopped: {exc}",
+            lower=greedy,
+            upper=upper,
+            nodes=budget.nodes,
+        ) from None
 
 
 def _catalog_for(g: Graph, limits: SolveLimits, catalog: GeodesicCatalog | None) -> GeodesicCatalog:
@@ -333,29 +296,9 @@ def _solve_gpack(
 ) -> SolveResult:
     started = time.monotonic()
     budget = _Budget(limits)
-    catalog = _catalog_for(g, limits, catalog)
-    geos = catalog.geodesics
-    m = len(geos)
-    if m == 0:
-        return SolveResult(0, Packing(()) if want_witness else None, _stats(budget, started))
-    vmasks = _vertex_masks(geos)
-    covers = _cover_masks(geos, g.n)
-    nbr = _conflict_masks(geos, covers)
-    min_size = min(len(p.vertices) for p in geos)
-    hard_ub = g.n // min_size
-    try:
-        value = _mis_max(nbr, vmasks, min_size, m, hard_ub, budget)
-        witness = None
-        if want_witness:
-            idxs = _mis_lex_witness(nbr, vmasks, min_size, m, value, budget)
-            witness = Packing(tuple(geos[i] for i in idxs))
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(
-            f"gpack search stopped: {exc}",
-            lower=_greedy_independent(nbr, m).bit_count(),
-            upper=hard_ub,
-            nodes=budget.nodes,
-        ) from None
+    geos = _catalog_for(g, limits, catalog).geodesics
+    value, idxs = _pack([p.vertices for p in geos], g.n, "gpack search", budget, want_witness)
+    witness = None if idxs is None else Packing(tuple(geos[i] for i in idxs))
     return SolveResult(value, witness, _stats(budget, started))
 
 
@@ -376,7 +319,7 @@ def gpack_report(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Minimum hitting set engine (gt)
+# Hitting-set engine (gt)
 # ---------------------------------------------------------------------------
 
 def _greedy_disjoint(uncovered: int, order_by_size: Sequence[int], vmasks: Sequence[int]) -> int:
@@ -391,50 +334,58 @@ def _greedy_disjoint(uncovered: int, order_by_size: Sequence[int], vmasks: Seque
     return count
 
 
-def _pick_uncovered_geodesic(
-    uncovered: int,
-    forbidden: int,
-    geos: Sequence[Geodesic],
-) -> tuple[int, list[int]]:
-    best_j = -1
+def _branch_vertices(uncovered: int, forbidden: int, sets: Sequence[Sequence[int]]) -> list[int]:
+    # The allowed vertices of the uncovered set with the fewest of them.
     best_allowed: list[int] = []
     best_count = -1
     c = uncovered
     while c:
         j = (c & -c).bit_length() - 1
         c &= c - 1
-        allowed = [v for v in geos[j].vertices if not (forbidden >> v) & 1]
+        allowed = [v for v in sets[j] if not (forbidden >> v) & 1]
         if best_count < 0 or len(allowed) < best_count:
             best_count = len(allowed)
-            best_j = j
             best_allowed = allowed
             if best_count <= 1:
                 break
-    return best_j, best_allowed
+    return best_allowed
 
 
 def _hs_search(
-    start_uncovered: int,
-    base_forbidden: int,
+    uncovered: int,
+    forbidden: int,
     best: int,
-    geos: Sequence[Geodesic],
+    target: int,
+    sets: Sequence[Sequence[int]],
     covers: Sequence[int],
     vmasks: Sequence[int],
     order_by_size: Sequence[int],
     budget: _Budget,
 ) -> int:
-    """Improve ``best`` (a known achievable size) to the true minimum."""
-    stack = [(start_uncovered, base_forbidden, 0)]
+    """Smallest hitting set of ``uncovered`` avoiding ``forbidden`` if below ``best``.
+
+    The search stops at the first cover of at most ``target`` vertices.  With
+    ``best`` a known cover size and ``target = 0`` it finds the optimum; with
+    ``best = limit + 1`` and ``target = limit`` it decides whether ``limit``
+    vertices suffice.
+    """
+    if not uncovered:
+        return 0
+    if best <= 1:  # a nonempty family needs a vertex
+        return best
+    stack = [(uncovered, forbidden, 0)]
     while stack:
         uncovered, forbidden, count = stack.pop()
         budget.spend()
         if not uncovered:
             if count < best:
                 best = count
+                if best <= target:
+                    break
             continue
         if count + _greedy_disjoint(uncovered, order_by_size, vmasks) >= best:
             continue
-        _, allowed = _pick_uncovered_geodesic(uncovered, forbidden, geos)
+        allowed = _branch_vertices(uncovered, forbidden, sets)
         if not allowed:
             continue
         # Partition by the first allowed vertex the solution uses.
@@ -447,42 +398,6 @@ def _hs_search(
     return best
 
 
-def _hs_feasible(
-    start_uncovered: int,
-    limit: int,
-    min_vertex: int,
-    geos: Sequence[Geodesic],
-    covers: Sequence[int],
-    vmasks: Sequence[int],
-    order_by_size: Sequence[int],
-    budget: _Budget,
-) -> bool:
-    """Does a hitting set of size <= limit exist using vertices >= min_vertex?"""
-    if not start_uncovered:
-        return True
-    if limit <= 0:
-        return False
-    base_forbidden = (1 << min_vertex) - 1
-    stack = [(start_uncovered, base_forbidden, 0)]
-    while stack:
-        uncovered, forbidden, count = stack.pop()
-        budget.spend()
-        if not uncovered:
-            return True
-        if count + _greedy_disjoint(uncovered, order_by_size, vmasks) > limit:
-            continue
-        _, allowed = _pick_uncovered_geodesic(uncovered, forbidden, geos)
-        if not allowed:
-            continue
-        acc = forbidden
-        pending = []
-        for v in allowed:
-            pending.append((uncovered & ~covers[v], acc, count + 1))
-            acc |= 1 << v
-        stack.extend(reversed(pending))
-    return False
-
-
 def _solve_gt(
     g: Graph,
     limits: SolveLimits,
@@ -492,14 +407,12 @@ def _solve_gt(
 ) -> SolveResult:
     started = time.monotonic()
     budget = _Budget(limits)
-    catalog = _catalog_for(g, limits, catalog)
-    geos = catalog.geodesics
-    m = len(geos)
+    sets = [p.vertices for p in _catalog_for(g, limits, catalog).geodesics]
+    m = len(sets)
     if m == 0:
         return SolveResult(0, Transversal(()) if want_witness else None, _stats(budget, started))
-    vmasks = _vertex_masks(geos)
-    covers = _cover_masks(geos, g.n)
-    order_by_size = sorted(range(m), key=lambda j: (len(geos[j].vertices), j))
+    vmasks, covers = _masks(sets, g.n)
+    order_by_size = sorted(range(m), key=lambda j: (len(sets[j]), j))
     all_mask = (1 << m) - 1
 
     # Greedy cover seeds the upper bound.
@@ -515,35 +428,28 @@ def _solve_gt(
         greedy_size += 1
 
     root_lb = _greedy_disjoint(all_mask, order_by_size, vmasks)
+    search = (sets, covers, vmasks, order_by_size, budget)
     try:
         value = greedy_size
         if root_lb < value:
-            value = _hs_search(
-                all_mask, 0, value, geos, covers, vmasks, order_by_size, budget
-            )
+            value = _hs_search(all_mask, 0, value, 0, *search)
         witness = None
         if want_witness:
+            # Keep each vertex, in order, whose remainder still fits the optimum.
             chosen: list[int] = []
             uncovered = all_mask
-            v = 0
-            while uncovered:
-                if v >= g.n:
-                    raise ContractViolation("witness extraction failed to match the optimum")
-                if covers[v] & uncovered:
-                    rest = uncovered & ~covers[v]
-                    if _hs_feasible(
-                        rest,
-                        value - len(chosen) - 1,
-                        v + 1,
-                        geos,
-                        covers,
-                        vmasks,
-                        order_by_size,
-                        budget,
-                    ):
-                        chosen.append(v)
-                        uncovered = rest
-                v += 1
+            for v in range(g.n):
+                if not uncovered:
+                    break
+                rest = uncovered & ~covers[v]
+                if rest == uncovered:
+                    continue
+                limit = value - len(chosen) - 1
+                if _hs_search(rest, (1 << (v + 1)) - 1, limit + 1, limit, *search) <= limit:
+                    chosen.append(v)
+                    uncovered = rest
+            if uncovered:
+                raise ContractViolation("witness extraction failed to match the optimum")
             witness = Transversal(tuple(chosen))
     except BudgetExceeded as exc:
         raise BudgetExceeded(
@@ -611,32 +517,7 @@ def _induced_p3_paths(g: Graph) -> list[tuple[int, int, int]]:
 
 def induced_p3_packing_exact(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
     """Maximum number of vertex-disjoint induced three-vertex paths."""
-    started = time.monotonic()
-    budget = _Budget(limits)
-    paths = _induced_p3_paths(g)
-    m = len(paths)
-    if m == 0:
-        return 0
-    vmasks = []
-    covers = [0] * g.n
-    for j, (a, b, c) in enumerate(paths):
-        vmasks.append((1 << a) | (1 << b) | (1 << c))
-        covers[a] |= 1 << j
-        covers[b] |= 1 << j
-        covers[c] |= 1 << j
-    nbr = [
-        (covers[a] | covers[b] | covers[c]) & ~(1 << j)
-        for j, (a, b, c) in enumerate(paths)
-    ]
-    try:
-        return _mis_max(nbr, vmasks, 3, m, g.n // 3, budget)
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(
-            f"induced P3 packing stopped: {exc}",
-            lower=_greedy_independent(nbr, m).bit_count(),
-            upper=g.n // 3,
-            nodes=budget.nodes,
-        ) from None
+    return _pack(_induced_p3_paths(g), g.n, "induced P3 packing", _Budget(limits), want_witness=False)[0]
 
 
 def verify_np_reduction(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:

@@ -27,34 +27,6 @@ def fig1() -> gp.Graph:
 
 
 # ---------------------------------------------------------------------------
-# Conflict graph
-# ---------------------------------------------------------------------------
-
-def test_conflict_graph_path():
-    cg = gp.conflict_graph(gp.enumerate_maximal_geodesics(gp.path_graph(5)))
-    assert cg.node_count == 1 and cg.edges == ()
-
-
-def test_conflict_graph_triangle():
-    cg = gp.conflict_graph(gp.enumerate_maximal_geodesics(gp.complete_graph(3)))
-    assert cg.node_count == 3
-    assert set(cg.edges) == {(0, 1), (0, 2), (1, 2)}
-
-
-def test_conflict_graph_c6_matches_intersections():
-    catalog = gp.enumerate_maximal_geodesics(gp.cycle_graph(6))
-    cg = gp.conflict_graph(catalog)
-    assert cg.node_count == 6
-    expected = {
-        (i, j)
-        for i in range(6)
-        for j in range(i + 1, 6)
-        if set(catalog.geodesics[i].vertices) & set(catalog.geodesics[j].vertices)
-    }
-    assert set(cg.edges) == expected
-
-
-# ---------------------------------------------------------------------------
 # gpack
 # ---------------------------------------------------------------------------
 
@@ -265,6 +237,33 @@ def test_gpack_budget_exceeded():
     with pytest.raises(BudgetExceeded) as info:
         gp.gpack_exact(gp.rook_graph(4), gp.SolveLimits(node_budget=1))
     assert info.value.lower >= 1
+
+
+def test_p3_packing_budget_exceeded():
+    g = gp.generate(gp.parse_family("cartesian(path:3,path:3)"))
+    with pytest.raises(BudgetExceeded) as info:
+        gp.induced_p3_packing_exact(g, gp.SolveLimits(node_budget=1))
+    assert info.value.lower <= oracle_induced_p3_packing(g) <= info.value.upper == g.n // 3
+
+
+@pytest.mark.parametrize(
+    "solve, value, exact",
+    [
+        (gp.solvers._solve_gpack, gp.gpack_value, gp.gpack_exact),
+        (gp.solvers._solve_gt, gp.gt_value, gp.gt_exact),
+    ],
+)
+def test_witness_extraction_budget_exceeded(solve, value, exact):
+    # A budget the value search fits in, but not the witness extraction.
+    g = gp.rook_graph(3)
+    budget = solve(g, gp.DEFAULT_LIMITS, want_witness=False).stats.nodes
+    assert budget >= 1
+    limits = gp.SolveLimits(node_budget=budget)
+    assert value(g, limits) == value(g)
+    with pytest.raises(BudgetExceeded) as info:
+        exact(g, limits)
+    assert info.value.nodes == budget + 1
+    assert info.value.lower <= value(g) <= info.value.upper
 
 
 def test_enumeration_cap_propagates():

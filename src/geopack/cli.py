@@ -24,9 +24,10 @@ from .graphs import (
 )
 from .solvers import (
     SolveLimits,
+    _catalog_for,
+    _solve_gpack,
+    _solve_gt,
     duality_check,
-    gpack_report,
-    gt_report,
     solve_result_to_json_dict,
 )
 from .trees import gpack_tree, tree_pairs_to_json_dict
@@ -70,10 +71,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     limits = _limits(args)
     wanted = ["gpack", "gt"] if args.invariant == "both" else [args.invariant]
-    docs = []
-    for invariant in wanted:
-        result = gpack_report(g, limits) if invariant == "gpack" else gt_report(g, limits)
-        docs.append((invariant, result))
+    catalog = _catalog_for(g, limits, None)  # one enumeration serves both solves
+    solve = {"gpack": _solve_gpack, "gt": _solve_gt}
+    docs = [(inv, solve[inv](g, limits, catalog=catalog)) for inv in wanted]
     if args.format == "json":
         payload = [solve_result_to_json_dict(inv, res) for inv, res in docs]
         _emit_json(payload[0] if len(payload) == 1 else payload)
@@ -150,11 +150,13 @@ _RATIO_FAMILIES = ("rook", "complete", "complete_bipartite")
 def cmd_ratio(args: argparse.Namespace) -> int:
     from .graphs import complete_bipartite_graph, complete_graph, rook_graph
 
+    if args.min < 2:
+        raise DomainError("ratio table needs n >= 2")
+    if args.min > args.max:
+        raise DomainError(f"ratio table needs --min <= --max, got {args.min} > {args.max}")
     limits = _limits(args)
     rows = []
     for n in range(args.min, args.max + 1):
-        if n < 2:
-            raise DomainError("ratio table needs n >= 2")
         if args.family == "rook":
             g = rook_graph(n)
         elif args.family == "complete":

@@ -1,13 +1,18 @@
 """Exact solvers for geodesic packing (gpack) and geodesic transversal (gt).
 
-gpack packs pairwise vertex-disjoint entries of the maximal-geodesic catalog,
-a maximum independent set of their intersection graph; the induced-P3
-packing of the NP-completeness reduction runs on the same packing engine.
-gt is a minimum hitting set over the same catalog.  Each invariant has one
-deterministic bitmask branch and bound that takes a starting bound and a
-stop target: run to the end it finds the optimum, and stopped at a target it
-decides the prefix-feasibility tests that build a lexicographically least
-optimal witness, so outputs are reproducible.
+Both invariants run on one mask state over the maximal-geodesic catalog:
+the vertex mask of each entry and, for each vertex, the mask of the entries
+through it (its star), O(m*n) bits for m entries on n vertices.  gpack packs
+pairwise vertex-disjoint entries, branching on the lowest vertex a candidate
+still holds; the induced-P3 packing of the NP-completeness reduction runs on
+the same packing engine.  gt is a minimum hitting set over the same catalog.
+The engines share their greedy bounds, as gpack <= gt suggests: disjoint
+entries bound gt from below, and stars hitting every entry bound gpack from
+above.  Each invariant has one deterministic bitmask branch and bound that
+takes a starting bound and a stop target: run to the end it finds the
+optimum, and stopped at a target it decides the prefix-feasibility tests
+that build a lexicographically least optimal witness, so outputs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -101,8 +106,9 @@ class _Budget:
             raise BudgetExceeded("time budget exhausted", nodes=self.nodes)
 
 
-def _masks(sets: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int]]:
-    """Vertex mask of each set, and for each vertex the mask of the sets holding it."""
+def _masks(sets: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int], list[int]]:
+    """Vertex mask of each set, for each vertex the mask of the sets holding it,
+    and the set indices shortest first."""
     vmasks = []
     covers = [0] * n
     for j, vertices in enumerate(sets):
@@ -112,90 +118,70 @@ def _masks(sets: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int]]
             m |= 1 << v
             covers[v] |= bit
         vmasks.append(m)
-    return vmasks, covers
+    return vmasks, covers, sorted(range(len(sets)), key=lambda j: (len(sets[j]), j))
 
 
 # ---------------------------------------------------------------------------
-# Packing engine: maximum independent set of the sets' intersection graph
-# (gpack, induced P3 packing)
+# Greedy bounds shared by both engines
 # ---------------------------------------------------------------------------
 
-def _greedy_independent(nbr: Sequence[int], m: int) -> int:
-    chosen = 0
-    blocked = 0
-    for i in range(m):
-        bit = 1 << i
-        if blocked & bit:
-            continue
-        chosen |= bit
-        blocked |= bit | nbr[i]
-    return chosen
+def _greedy_disjoint(uncovered: int, by_size: Sequence[int], vmasks: Sequence[int]) -> int:
+    # Pairwise disjoint sets, shortest first: a packing, so a lower bound for
+    # gpack, and each needs a private transversal vertex, so one for gt too.
+    used = 0
+    count = 0
+    for j in by_size:
+        if (uncovered >> j) & 1 and not (vmasks[j] & used):
+            used |= vmasks[j]
+            count += 1
+    return count
 
 
-def _clique_cover_bound(cand: int, nbr: Sequence[int]) -> int:
-    # Greedily partition the candidates into cliques; an independent set can
-    # use at most one vertex per clique.
-    bound = 0
-    rest = cand
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        clique = 1 << v
-        common = nbr[v] & rest
-        while common:
-            u = (common & -common).bit_length() - 1
-            clique |= 1 << u
-            common &= nbr[u]
-        rest &= ~clique
-        bound += 1
-    return bound
+def _greedy_cover(uncovered: int, stars: Sequence[int]) -> int:
+    # Take the star (the sets through one vertex) holding the most uncovered
+    # sets, lowest first on ties, until every set is hit: an upper bound for
+    # gt, and for gpack too, since sets through one vertex pairwise meet.
+    count = 0
+    while uncovered:
+        best_s, best_c = 0, 0
+        for s in stars:
+            c = (s & uncovered).bit_count()
+            if c > best_c:
+                best_c, best_s = c, s
+        uncovered &= ~best_s
+        count += 1
+    return count
 
 
-def _vertex_budget_bound(cand: int, vmasks: Sequence[int], min_size: int) -> int:
-    # Every candidate occupies at least min_size graph vertices of the
-    # candidates' union, so the union caps any packing inside cand.
-    union = 0
-    c = cand
-    while c:
-        i = (c & -c).bit_length() - 1
-        union |= vmasks[i]
-        c &= c - 1
-    return union.bit_count() // min_size
+# ---------------------------------------------------------------------------
+# Packing engine: pairwise disjoint sets (gpack, induced P3 packing)
+# ---------------------------------------------------------------------------
 
-
-def _pick_mis_vertex(cand: int, nbr: Sequence[int]) -> int:
-    best_v = -1
-    best_deg = -1
-    c = cand
-    while c:
-        v = (c & -c).bit_length() - 1
-        deg = (nbr[v] & cand).bit_count()
-        if deg > best_deg:
-            best_deg, best_v = deg, v
-        c &= c - 1
-    return best_v
-
-
-def _mis_search(
-    nbr: Sequence[int],
-    vmasks: Sequence[int],
+def _pack_search(
+    sets: Sequence[Sequence[int]],
+    covers: Sequence[int],
     min_size: int,
     cand: int,
     best: int,
     target: int,
     budget: _Budget,
 ) -> int:
-    """Largest independent set inside ``cand`` if it beats ``best``, else ``best``.
+    """Most pairwise disjoint sets inside ``cand`` if that beats ``best``, else ``best``.
 
     The search stops as soon as it reaches ``target``.  With ``best`` a known
     size and ``target`` the size cap it finds the optimum; with
     ``best = need - 1`` and ``target = need`` it decides whether ``need`` fits.
+    Each node branches on its lowest live vertex v (one some candidate holds):
+    every lower vertex is decided, so either one of the candidates through v,
+    shortest first, joins the packing, or v stays unused.
     """
-    best = max(best, 0)  # the empty set is always independent
+    best = max(best, 0)  # the empty packing always exists
     if best >= target:
         return best
-    stack = [(cand, 0)]
+    n = len(covers)
+    stack = [(cand, 0, 0)]
     while stack:
-        cand, size = stack.pop()
+        cand, size, lo = stack.pop()
         budget.spend()
         if size > best:
             best = size
@@ -206,16 +192,30 @@ def _mis_search(
         slack = best - size
         if cand.bit_count() <= slack:
             continue
-        bound = min(
-            _clique_cover_bound(cand, nbr),
-            _vertex_budget_bound(cand, vmasks, min_size),
-        )
-        if size + bound <= best:
+        stars = []
+        for u in range(lo, n):
+            s = covers[u] & cand
+            if s:
+                if not stars:
+                    v = u
+                stars.append(s)
+        # A packed candidate spends min_size live vertices, and stars hitting
+        # every candidate each hold at most one packed candidate.
+        if len(stars) // min_size <= slack or _greedy_cover(cand, stars) <= slack:
             continue
-        v = _pick_mis_vertex(cand, nbr)
-        bit = 1 << v
-        stack.append((cand & ~bit, size))
-        stack.append((cand & ~(nbr[v] | bit), size + 1))
+        hold = stars[0]
+        stack.append((cand & ~hold, size, v + 1))
+        holders = []
+        while hold:
+            j = (hold & -hold).bit_length() - 1
+            hold &= hold - 1
+            holders.append(j)
+        holders.sort(key=lambda j: (len(sets[j]), j), reverse=True)
+        for j in holders:
+            rest = cand
+            for u in sets[j]:
+                rest &= ~covers[u]
+            stack.append((rest, size + 1, v + 1))
     return best
 
 
@@ -231,18 +231,12 @@ def _pack(
     m = len(sets)
     if m == 0:
         return 0, [] if want_witness else None
-    vmasks, covers = _masks(sets, n)
-    nbr = []
-    for j, vertices in enumerate(sets):
-        c = 0
-        for v in vertices:
-            c |= covers[v]
-        nbr.append(c & ~(1 << j))
-    min_size = min(map(len, sets))
+    vmasks, covers, by_size = _masks(sets, n)
+    min_size = len(sets[by_size[0]])
     upper = n // min_size
-    greedy = _greedy_independent(nbr, m).bit_count()
+    greedy = _greedy_disjoint((1 << m) - 1, by_size, vmasks)
     try:
-        value = _mis_search(nbr, vmasks, min_size, (1 << m) - 1, greedy, upper, budget)
+        value = _pack_search(sets, covers, min_size, (1 << m) - 1, greedy, upper, budget)
         if not want_witness:
             return value, None
         # Commit the lowest set whose remainder still fits the optimum; each
@@ -252,11 +246,13 @@ def _pack(
         for need in range(value - 1, -1, -1):
             c = cand
             while c:
-                v = (c & -c).bit_length() - 1
+                j = (c & -c).bit_length() - 1
                 c &= c - 1
-                rest = cand & ~nbr[v] & ~((1 << (v + 1)) - 1)
-                if _mis_search(nbr, vmasks, min_size, rest, need - 1, need, budget) >= need:
-                    chosen.append(v)
+                rest = cand & ~((1 << (j + 1)) - 1)
+                for u in sets[j]:
+                    rest &= ~covers[u]
+                if _pack_search(sets, covers, min_size, rest, need - 1, need, budget) >= need:
+                    chosen.append(j)
                     cand = rest
                     break
             else:
@@ -322,18 +318,6 @@ def gpack_report(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> SolveResult:
 # Hitting-set engine (gt)
 # ---------------------------------------------------------------------------
 
-def _greedy_disjoint(uncovered: int, order_by_size: Sequence[int], vmasks: Sequence[int]) -> int:
-    # Pairwise disjoint geodesics each need a private transversal vertex;
-    # this is the structural gpack <= gt lower bound.
-    used = 0
-    count = 0
-    for j in order_by_size:
-        if (uncovered >> j) & 1 and not (vmasks[j] & used):
-            used |= vmasks[j]
-            count += 1
-    return count
-
-
 def _branch_vertices(uncovered: int, forbidden: int, sets: Sequence[Sequence[int]]) -> list[int]:
     # The allowed vertices of the uncovered set with the fewest of them.
     best_allowed: list[int] = []
@@ -359,7 +343,7 @@ def _hs_search(
     sets: Sequence[Sequence[int]],
     covers: Sequence[int],
     vmasks: Sequence[int],
-    order_by_size: Sequence[int],
+    by_size: Sequence[int],
     budget: _Budget,
 ) -> int:
     """Smallest hitting set of ``uncovered`` avoiding ``forbidden`` if below ``best``.
@@ -383,7 +367,7 @@ def _hs_search(
                 if best <= target:
                     break
             continue
-        if count + _greedy_disjoint(uncovered, order_by_size, vmasks) >= best:
+        if count + _greedy_disjoint(uncovered, by_size, vmasks) >= best:
             continue
         allowed = _branch_vertices(uncovered, forbidden, sets)
         if not allowed:
@@ -411,24 +395,11 @@ def _solve_gt(
     m = len(sets)
     if m == 0:
         return SolveResult(0, Transversal(()) if want_witness else None, _stats(budget, started))
-    vmasks, covers = _masks(sets, g.n)
-    order_by_size = sorted(range(m), key=lambda j: (len(sets[j]), j))
+    vmasks, covers, by_size = _masks(sets, g.n)
     all_mask = (1 << m) - 1
-
-    # Greedy cover seeds the upper bound.
-    uncovered = all_mask
-    greedy_size = 0
-    while uncovered:
-        best_v, best_c = -1, 0
-        for v in range(g.n):
-            c = (covers[v] & uncovered).bit_count()
-            if c > best_c:
-                best_c, best_v = c, v
-        uncovered &= ~covers[best_v]
-        greedy_size += 1
-
-    root_lb = _greedy_disjoint(all_mask, order_by_size, vmasks)
-    search = (sets, covers, vmasks, order_by_size, budget)
+    greedy_size = _greedy_cover(all_mask, covers)
+    root_lb = _greedy_disjoint(all_mask, by_size, vmasks)
+    search = (sets, covers, vmasks, by_size, budget)
     try:
         value = greedy_size
         if root_lb < value:

@@ -124,19 +124,25 @@ def oracle_induced_p3_packing(g: Graph) -> int:
     return best
 
 
-def brute_max_disjoint(sets: list[set[int]]) -> int:
-    """Largest pairwise-disjoint subfamily, by plain recursion."""
-    best = 0
+def brute_lex_least_packing(sets: list[set[int]]) -> list[int]:
+    """Lexicographically least largest pairwise-disjoint subfamily, as sorted indices.
 
-    def rec(start: int, used: set[int], size: int) -> None:
+    The recursion visits index lists in lexicographic order, so the first
+    list of the largest size it meets is the least one.
+    """
+    best: list[int] = []
+
+    def rec(start: int, used: set[int], chosen: list[int]) -> None:
         nonlocal best
-        if size > best:
-            best = size
+        if len(chosen) > len(best):
+            best = list(chosen)
         for j in range(start, len(sets)):
             if not (sets[j] & used):
-                rec(j + 1, used | sets[j], size + 1)
+                chosen.append(j)
+                rec(j + 1, used | sets[j], chosen)
+                chosen.pop()
 
-    rec(0, set(), 0)
+    rec(0, set(), [])
     return best
 
 

@@ -172,12 +172,16 @@ def test_criterion_07b_reduction_bipartite():
 
 def test_criterion_08_diagonal_grids():
     with criterion("8", "diagonal grids: packing number, witness, orders, bound"):
-        for dims in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 2, 3)):
+        # Far above the 225 nodes (2, 3, 4) needs, so a search that loses its
+        # pruning fails here instead of running for minutes.
+        limits = gp.SolveLimits(node_budget=10_000)
+        grids = ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 2, 3), (2, 2, 4), (2, 3, 3), (2, 3, 4))
+        for dims in grids:
             g = gp.diagonal_grid(dims)
             expected = 1
             for d in sorted(dims)[1:]:
                 expected *= d
-            assert gp.gpack_value(g) == expected
+            assert gp.gpack_value(g, limits) == expected
             packing = gp.diagonal_grid_packing(dims)
             assert packing.size == expected
             table = gp.all_pairs_distances(g)

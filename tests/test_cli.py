@@ -22,6 +22,24 @@ def test_compute_both_text(capsys):
     assert "gpack = 3" in out and "gt = 5" in out
 
 
+def test_compute_both_enumerates_once(capsys, monkeypatch):
+    import geopack.solvers
+
+    argv = ("compute", "--family", "rook:3", "--format", "json")
+    single = [json.loads(run(capsys, *argv, "--invariant", inv)[1]) for inv in ("gpack", "gt")]
+    calls = []
+    enumerate_once = geopack.solvers.enumerate_maximal_geodesics
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_once(*args, **kwargs)
+
+    monkeypatch.setattr(geopack.solvers, "enumerate_maximal_geodesics", counting)
+    code, out = run(capsys, *argv, "--invariant", "both")
+    assert code == 0 and len(calls) == 1
+    assert out == json.dumps(single, indent=2) + "\n"
+
+
 def test_compute_file_gpack(capsys):
     code, out = run(capsys, "compute", "--file", FIG1, "--invariant", "gpack", "--format", "json")
     assert code == 0
@@ -127,6 +145,9 @@ def test_input_errors_exit_two(capsys):
     assert main(["compute", "--family", "nonsense:3"]) == 2
     assert main(["compute", "--file", "/no/such/file"]) == 2
     assert main(["compute", "--family", "complete:0"]) == 2
+    assert main(["ratio", "rook", "--min", "3", "--max", "2"]) == 2
+    assert main(["ratio", "rook", "--min", "3", "--max", "2", "--format", "json"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_budget_exit_three(capsys):

@@ -294,11 +294,14 @@ def test_solvers_match_catalog_bruteforce_on_random_graphs():
     import random
 
     from geopack.verify import random_graph
-    from oracles import brute_max_disjoint, brute_min_hitting
+    from oracles import brute_lex_least_packing, brute_min_hitting
 
     rng = random.Random(1234)
     for _ in range(200):
         g = random_graph(rng.randint(1, 10), rng.uniform(0.1, 0.9), rng)
-        sets = [set(p.vertices) for p in gp.enumerate_maximal_geodesics(g).geodesics]
-        assert gp.gpack_value(g) == brute_max_disjoint(sets)
-        assert gp.gt_value(g) == brute_min_hitting(sets, g.n)
+        geos = gp.enumerate_maximal_geodesics(g).geodesics
+        least = brute_lex_least_packing([set(p.vertices) for p in geos])
+        value, packing = gp.gpack_exact(g)
+        assert value == len(least)
+        assert packing.geodesics == tuple(geos[j] for j in least)
+        assert gp.gt_value(g) == brute_min_hitting([set(p.vertices) for p in geos], g.n)

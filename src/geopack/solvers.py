@@ -106,19 +106,25 @@ class _Budget:
             raise BudgetExceeded("time budget exhausted", nodes=self.nodes)
 
 
-def _masks(sets: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int], list[int]]:
-    """Vertex mask of each set, for each vertex the mask of the sets holding it,
-    and the set indices shortest first."""
+def _masks(sets: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Vertex mask of each set, and the set indices shortest first."""
     vmasks = []
-    covers = [0] * n
-    for j, vertices in enumerate(sets):
-        bit = 1 << j
+    for vertices in sets:
         m = 0
         for v in vertices:
             m |= 1 << v
-            covers[v] |= bit
         vmasks.append(m)
-    return vmasks, covers, sorted(range(len(sets)), key=lambda j: (len(sets[j]), j))
+    return vmasks, sorted(range(len(sets)), key=lambda j: (len(sets[j]), j))
+
+
+def _stars(sets: Sequence[Sequence[int]], n: int) -> list[int]:
+    """For each vertex, the mask of the sets holding it."""
+    covers = [0] * n
+    for j, vertices in enumerate(sets):
+        bit = 1 << j
+        for v in vertices:
+            covers[v] |= bit
+    return covers
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +237,13 @@ def _pack(
     m = len(sets)
     if m == 0:
         return 0, [] if want_witness else None
-    vmasks, covers, by_size = _masks(sets, n)
+    vmasks, by_size = _masks(sets)
     min_size = len(sets[by_size[0]])
     upper = n // min_size
     greedy = _greedy_disjoint((1 << m) - 1, by_size, vmasks)
+    if greedy >= upper and not want_witness:
+        return greedy, None  # certified at the root: no search, so no stars
+    covers = _stars(sets, n)
     try:
         value = _pack_search(sets, covers, min_size, (1 << m) - 1, greedy, upper, budget)
         if not want_witness:
@@ -395,7 +404,8 @@ def _solve_gt(
     m = len(sets)
     if m == 0:
         return SolveResult(0, Transversal(()) if want_witness else None, _stats(budget, started))
-    vmasks, covers, by_size = _masks(sets, g.n)
+    vmasks, by_size = _masks(sets)
+    covers = _stars(sets, g.n)
     all_mask = (1 << m) - 1
     greedy_size = _greedy_cover(all_mask, covers)
     root_lb = _greedy_disjoint(all_mask, by_size, vmasks)

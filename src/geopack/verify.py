@@ -40,7 +40,10 @@ _FORMULA_GRID_DIMS = (
     (3, 3), (3, 4), (2, 2, 2), (2, 2, 3),
 )
 
-_ACCEPTANCE_GRID_DIMS = ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 2, 3))
+_ACCEPTANCE_GRID_DIMS = (
+    (2, 2), (2, 3), (3, 3), (2, 4), (3, 4),
+    (2, 2, 3), (2, 2, 4), (2, 3, 3), (2, 3, 4),
+)
 
 
 @dataclass(frozen=True)

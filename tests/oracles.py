@@ -3,6 +3,7 @@
 Maximal geodesics are found from first principles: enumerate every simple
 path, keep the shortest ones, and drop any path contained in a longer
 shortest path.  The packing / transversal oracles then search exhaustively.
+Past brute-force range, the catalog is rebuilt from networkx shortest paths.
 Nothing here shares code with geopack beyond the Graph data type.
 """
 
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+
+import networkx as nx
 
 from geopack import Graph
 
@@ -72,6 +75,37 @@ def oracle_maximal_geodesics(g: Graph) -> set[tuple[int, ...]]:
         if not any(q != p and _contains_subpath(q, p) for q in geodesics):
             maximal.add(p)
     return maximal
+
+
+def nx_maximal_geodesics(g: Graph) -> list[tuple[int, ...]]:
+    """The sorted catalog from networkx shortest paths, for graphs past brute force.
+
+    A pair u < v is maximal when no neighbour of either end lies one step
+    further from the other end; each of its shortest paths, read from u, is
+    then a maximal geodesic.  The paths are traced back through networkx's
+    shortest-path predecessors of u.  An isolated vertex u gives (u,).
+    """
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    dist = dict(nx.all_pairs_shortest_path_length(G))
+    found = [(u,) for u in range(g.n) if not g.adj[u]]
+    for u in range(g.n):
+        pred = nx.predecessor(G, u)
+        paths = {u: [(u,)]}
+
+        def paths_to(x: int) -> list[tuple[int, ...]]:
+            if x not in paths:
+                paths[x] = [p + (x,) for w in pred[x] for p in paths_to(w)]
+            return paths[x]
+
+        for v, d in dist[u].items():
+            if v <= u:
+                continue
+            if any(dist[w][v] == d + 1 for w in g.adj[u]) or any(dist[u][w] == d + 1 for w in g.adj[v]):
+                continue
+            found.extend(paths_to(v))
+    return sorted(found)
 
 
 def oracle_gpack(g: Graph) -> int:

@@ -16,7 +16,12 @@ from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import geopack as gp
-from geopack.verify import random_connected_bipartite_max3, random_graph, rook_ratio_curve
+from geopack.verify import (
+    _ACCEPTANCE_GRID_DIMS,
+    random_connected_bipartite_max3,
+    random_graph,
+    rook_ratio_curve,
+)
 
 from oracles import oracle_gpack, oracle_gt, oracle_maximal_geodesics
 
@@ -175,8 +180,7 @@ def test_criterion_08_diagonal_grids():
         # Far above the 225 nodes (2, 3, 4) needs, so a search that loses its
         # pruning fails here instead of running for minutes.
         limits = gp.SolveLimits(node_budget=10_000)
-        grids = ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 2, 3), (2, 2, 4), (2, 3, 3), (2, 3, 4))
-        for dims in grids:
+        for dims in _ACCEPTANCE_GRID_DIMS:
             g = gp.diagonal_grid(dims)
             expected = 1
             for d in sorted(dims)[1:]:

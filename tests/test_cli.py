@@ -74,6 +74,11 @@ def test_enumerate_json(capsys):
 def test_enumerate_cap_exit_code(capsys):
     code, out = run(capsys, "enumerate", "--family", "complete:5", "--cap", "3")
     assert code == 3 and "complete=false" in out
+    _, full = run(capsys, "enumerate", "--family", "complete:5", "--format", "json")
+    code, out = run(capsys, "enumerate", "--family", "complete:5", "--cap", "3", "--format", "json")
+    doc = json.loads(out)
+    assert code == 3 and not doc["complete"]
+    assert doc["geodesics"] == json.loads(full)["geodesics"][:3]
 
 
 def test_generate_edge_list(capsys):
@@ -120,6 +125,13 @@ def test_verify_formulas_passes(capsys):
     code, out = run(capsys, "verify", "formulas")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_grids_passes(capsys):
+    code, out = run(capsys, "verify", "grids")
+    assert code == 0
+    assert "FAIL" not in out
+    assert "grid (2, 3, 4): gpack = 12" in out
 
 
 def test_verify_trees_seeded(capsys):

@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import geopack as gp
 from geopack.errors import ContractViolation, DomainError, EnumerationOverflow
+from geopack.verify import random_graph
 
 from conftest import graphs_st
-from oracles import oracle_maximal_geodesics
+from oracles import nx_maximal_geodesics, oracle_maximal_geodesics
 
 
 def catalog_tuples(g: gp.Graph, cap: int = 100_000) -> set[tuple[int, ...]]:
@@ -157,6 +159,19 @@ def test_cap_boundary_exact_fit():
     assert catalog.complete and catalog.count == 6
 
 
+@given(graphs_st(max_n=7))
+@example(gp.Graph.from_edges(6, [(0, 2), (0, 5), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]))
+@settings(max_examples=200)
+def test_cap_truncates_to_a_prefix(g):
+    # The example's first entry is (0, 2, 4); a scan by endpoint pair meets
+    # (0, 5, 1), between 0 and 1, first.
+    full = gp.enumerate_maximal_geodesics(g)
+    for k in range(1, full.count + 2):
+        catalog = gp.enumerate_maximal_geodesics(g, cap=k)
+        assert catalog.geodesics == full.geodesics[:k]
+        assert catalog.complete == (k >= full.count)
+
+
 # ---------------------------------------------------------------------------
 # Shortest maximal geodesic and uniformity
 # ---------------------------------------------------------------------------
@@ -217,6 +232,22 @@ def test_uniform_closed_under_box_product(g, h):
 @given(graphs_st(max_n=6))
 def test_catalog_matches_bruteforce(g):
     assert catalog_tuples(g) == oracle_maximal_geodesics(g)
+
+
+def test_catalog_matches_networkx_beyond_bruteforce():
+    graphs = [gp.random_tree(60, random.Random(s)) for s in range(6)]
+    graphs += [random_graph(24, 0.15, random.Random(s)) for s in range(6)]  # disconnected at times
+    graphs.append(gp.diagonal_grid((5, 6)))
+    for g in graphs:
+        catalog = gp.enumerate_maximal_geodesics(g)
+        assert catalog.complete
+        assert [p.vertices for p in catalog.geodesics] == nx_maximal_geodesics(g)
+
+
+@pytest.mark.slow
+def test_catalog_matches_networkx_on_a_large_tree():
+    g = gp.random_tree(1000, random.Random(0))
+    assert [p.vertices for p in gp.enumerate_maximal_geodesics(g).geodesics] == nx_maximal_geodesics(g)
 
 
 @given(graphs_st(max_n=7))

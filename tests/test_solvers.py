@@ -43,6 +43,12 @@ def test_gpack_thirteen_vertex_example_drops_after_smoothing():
     assert gp.gpack_value(gp.smooth(g).graph) == 3
 
 
+@pytest.mark.slow
+def test_gpack_on_a_large_root_certified_grid():
+    # 81k maximal geodesics; the greedy packing meets n // 9 at the root.
+    assert gp.gpack_value(gp.diagonal_grid((9, 9))) == 9
+
+
 def test_gpack_witness_is_lexicographically_least():
     value, packing = gp.gpack_exact(gp.complete_graph(4))
     assert value == 2

@@ -1,8 +1,9 @@
 """Exact solvers for geodesic packing (gpack) and geodesic transversal (gt).
 
-Both invariants run on one mask state over the maximal-geodesic catalog:
-the vertex mask of each entry and, for each vertex, the mask of the entries
-through it (its star), O(m*n) bits for m entries on n vertices.  gpack packs
+Both invariants run on one mask state over the maximal-geodesic catalog.
+The entries are numbered once, shortest first with ties in catalog order, and
+the only masks are the stars: for each vertex, the mask of the entries
+through it, O(m*n) bits for m entries on n vertices.  gpack packs
 pairwise vertex-disjoint entries, branching on the lowest vertex a candidate
 still holds; the induced-P3 packing of the NP-completeness reduction runs on
 the same packing engine.  gt is a minimum hitting set over the same catalog.
@@ -28,7 +29,12 @@ from .errors import (
     DomainError,
     EnumerationOverflow,
 )
-from .geodesics import Geodesic, GeodesicCatalog, enumerate_maximal_geodesics
+from .geodesics import (
+    Geodesic,
+    GeodesicCatalog,
+    enumerate_maximal_geodesics,
+    shortest_maximal_geodesic_length,
+)
 from .graphs import Graph, derived_graph
 
 
@@ -41,7 +47,7 @@ class SolveLimits:
     node_budget: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if self.max_geodesics < 1 or self.time_budget <= 0 or self.node_budget < 1:
+        if self.max_geodesics < 1 or not self.time_budget > 0 or self.node_budget < 1:
             raise ValueError("solve limits must be positive")
 
 
@@ -106,40 +112,39 @@ class _Budget:
             raise BudgetExceeded("time budget exhausted", nodes=self.nodes)
 
 
-def _masks(sets: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """Vertex mask of each set, and the set indices shortest first."""
-    vmasks = []
-    for vertices in sets:
-        m = 0
-        for v in vertices:
-            m |= 1 << v
-        vmasks.append(m)
-    return vmasks, sorted(range(len(sets)), key=lambda j: (len(sets[j]), j))
+def _number_sets(
+    sets: Sequence[Sequence[int]], n: int
+) -> tuple[list[int], list[Sequence[int]], list[int]]:
+    """Number the sets shortest first, ties in input order.
 
-
-def _stars(sets: Sequence[Sequence[int]], n: int) -> list[int]:
-    """For each vertex, the mask of the sets holding it."""
-    covers = [0] * n
-    for j, vertices in enumerate(sets):
-        bit = 1 << j
+    Returns the input index of each position, the sets in position order and,
+    for each vertex, its star: the mask of the positions holding it.  Each
+    star is read from a per-vertex byte row, O(m*L + n*m/8) for m sets of at
+    most L vertices.
+    """
+    order = sorted(range(len(sets)), key=lambda j: len(sets[j]))
+    ordered = [sets[j] for j in order]
+    rows = [bytearray((len(sets) + 7) >> 3) for _ in range(n)]
+    for i, vertices in enumerate(ordered):
+        byte, bit = i >> 3, 1 << (i & 7)
         for v in vertices:
-            covers[v] |= bit
-    return covers
+            rows[v][byte] |= bit
+    return order, ordered, [int.from_bytes(row, "little") for row in rows]
 
 
 # ---------------------------------------------------------------------------
 # Greedy bounds shared by both engines
 # ---------------------------------------------------------------------------
 
-def _greedy_disjoint(uncovered: int, by_size: Sequence[int], vmasks: Sequence[int]) -> int:
+def _greedy_disjoint(uncovered: int, sets: Sequence[Sequence[int]], covers: Sequence[int]) -> int:
     # Pairwise disjoint sets, shortest first: a packing, so a lower bound for
     # gpack, and each needs a private transversal vertex, so one for gt too.
-    used = 0
+    # Take the lowest position left and strip every set meeting it.
     count = 0
-    for j in by_size:
-        if (uncovered >> j) & 1 and not (vmasks[j] & used):
-            used |= vmasks[j]
-            count += 1
+    while uncovered:
+        for v in sets[(uncovered & -uncovered).bit_length() - 1]:
+            uncovered &= ~covers[v]
+        count += 1
     return count
 
 
@@ -211,13 +216,9 @@ def _pack_search(
             continue
         hold = stars[0]
         stack.append((cand & ~hold, size, v + 1))
-        holders = []
-        while hold:
-            j = (hold & -hold).bit_length() - 1
-            hold &= hold - 1
-            holders.append(j)
-        holders.sort(key=lambda j: (len(sets[j]), j), reverse=True)
-        for j in holders:
+        while hold:  # highest position first, so the shortest set pops first
+            j = hold.bit_length() - 1
+            hold ^= 1 << j
             rest = cand
             for u in sets[j]:
                 rest &= ~covers[u]
@@ -237,35 +238,34 @@ def _pack(
     m = len(sets)
     if m == 0:
         return 0, [] if want_witness else None
-    vmasks, by_size = _masks(sets)
-    min_size = len(sets[by_size[0]])
+    order, sets, covers = _number_sets(sets, n)
+    min_size = len(sets[0])
     upper = n // min_size
-    greedy = _greedy_disjoint((1 << m) - 1, by_size, vmasks)
-    if greedy >= upper and not want_witness:
-        return greedy, None  # certified at the root: no search, so no stars
-    covers = _stars(sets, n)
+    cand = (1 << m) - 1
+    greedy = _greedy_disjoint(cand, sets, covers)
     try:
-        value = _pack_search(sets, covers, min_size, (1 << m) - 1, greedy, upper, budget)
+        value = _pack_search(sets, covers, min_size, cand, greedy, upper, budget)
         if not want_witness:
             return value, None
-        # Commit the lowest set whose remainder still fits the optimum; each
-        # prefix test is exact, so the result is the lex-least optimal set.
+        # Walk the sets in input order and commit each one whose remainder
+        # still fits the optimum; each prefix test is exact, so the result is
+        # the lex-least optimal list of input indices.
         chosen: list[int] = []
-        cand = (1 << m) - 1
-        for need in range(value - 1, -1, -1):
-            c = cand
-            while c:
-                j = (c & -c).bit_length() - 1
-                c &= c - 1
-                rest = cand & ~((1 << (j + 1)) - 1)
-                for u in sets[j]:
-                    rest &= ~covers[u]
-                if _pack_search(sets, covers, min_size, rest, need - 1, need, budget) >= need:
-                    chosen.append(j)
-                    cand = rest
-                    break
-            else:
-                raise ContractViolation("witness extraction failed to match the optimum")
+        for j in sorted(range(m), key=order.__getitem__):
+            if len(chosen) == value:
+                break
+            if not (cand >> j) & 1:
+                continue
+            cand &= ~(1 << j)
+            rest = cand
+            for u in sets[j]:
+                rest &= ~covers[u]
+            need = value - len(chosen) - 1
+            if _pack_search(sets, covers, min_size, rest, need - 1, need, budget) >= need:
+                chosen.append(order[j])
+                cand = rest
+        if len(chosen) < value:
+            raise ContractViolation("witness extraction failed to match the optimum")
         return value, chosen
     except BudgetExceeded as exc:
         raise BudgetExceeded(
@@ -351,8 +351,6 @@ def _hs_search(
     target: int,
     sets: Sequence[Sequence[int]],
     covers: Sequence[int],
-    vmasks: Sequence[int],
-    by_size: Sequence[int],
     budget: _Budget,
 ) -> int:
     """Smallest hitting set of ``uncovered`` avoiding ``forbidden`` if below ``best``.
@@ -376,7 +374,7 @@ def _hs_search(
                 if best <= target:
                     break
             continue
-        if count + _greedy_disjoint(uncovered, by_size, vmasks) >= best:
+        if count + _greedy_disjoint(uncovered, sets, covers) >= best:
             continue
         allowed = _branch_vertices(uncovered, forbidden, sets)
         if not allowed:
@@ -404,12 +402,11 @@ def _solve_gt(
     m = len(sets)
     if m == 0:
         return SolveResult(0, Transversal(()) if want_witness else None, _stats(budget, started))
-    vmasks, by_size = _masks(sets)
-    covers = _stars(sets, g.n)
+    _, sets, covers = _number_sets(sets, g.n)
     all_mask = (1 << m) - 1
     greedy_size = _greedy_cover(all_mask, covers)
-    root_lb = _greedy_disjoint(all_mask, by_size, vmasks)
-    search = (sets, covers, vmasks, by_size, budget)
+    root_lb = _greedy_disjoint(all_mask, sets, covers)
+    search = (sets, covers, budget)
     try:
         value = greedy_size
         if root_lb < value:
@@ -464,12 +461,7 @@ def gt_report(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> SolveResult:
 
 def gpack_upper_bound(g: Graph, catalog: GeodesicCatalog) -> int:
     """floor(n / (d + 1)) where d is the shortest maximal geodesic length."""
-    if not catalog.complete:
-        raise EnumerationOverflow("upper bound needs a complete catalog")
-    if catalog.count == 0:
-        raise DomainError("upper bound undefined for an empty catalog")
-    min_size = min(len(p.vertices) for p in catalog.geodesics)
-    return g.n // min_size
+    return g.n // (shortest_maximal_geodesic_length(catalog) + 1)
 
 
 def duality_check(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> DualityReport:

@@ -157,6 +157,7 @@ def test_input_errors_exit_two(capsys):
     assert main(["compute", "--family", "nonsense:3"]) == 2
     assert main(["compute", "--file", "/no/such/file"]) == 2
     assert main(["compute", "--family", "complete:0"]) == 2
+    assert main(["compute", "--family", "rook:3", "--time-budget", "nan"]) == 2
     assert main(["ratio", "rook", "--min", "3", "--max", "2"]) == 2
     assert main(["ratio", "rook", "--min", "3", "--max", "2", "--format", "json"]) == 2
     assert capsys.readouterr().out == ""

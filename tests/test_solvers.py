@@ -75,6 +75,12 @@ def test_gt_known_values():
     assert gp.gt_value(gp.rook_graph(4)) == 10
 
 
+@pytest.mark.slow
+def test_gt_rook6_north_star():
+    # gt(K_n x K_n) = n^2 - 2n + 2; the value search spends 38,413 nodes.
+    assert gp.gt_value(gp.rook_graph(6), gp.SolveLimits(node_budget=40_000)) == 26
+
+
 def test_gt_witness_is_lexicographically_least():
     value, transversal = gp.gt_exact(gp.complete_graph(4))
     assert value == 3 and transversal.vertices == (0, 1, 2)
@@ -280,6 +286,8 @@ def test_enumeration_cap_propagates():
 def test_limits_validation():
     with pytest.raises(ValueError):
         gp.SolveLimits(node_budget=0)
+    with pytest.raises(ValueError):
+        gp.SolveLimits(time_budget=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .graphs import (
     parse_family,
 )
 from .solvers import (
+    DEFAULT_LIMITS,
     SolveLimits,
     _catalog_for,
     _solve_gpack,
@@ -41,9 +42,15 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_limit_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cap", type=int, default=100_000, help="maximal-geodesic enumeration cap")
-    parser.add_argument("--time-budget", type=float, default=60.0, help="solver time budget in seconds")
-    parser.add_argument("--node-budget", type=int, default=10_000_000, help="solver search-node budget")
+    parser.add_argument(
+        "--cap", type=int, default=DEFAULT_LIMITS.max_geodesics, help="maximal-geodesic enumeration cap"
+    )
+    parser.add_argument(
+        "--time-budget", type=float, default=DEFAULT_LIMITS.time_budget, help="solver time budget in seconds"
+    )
+    parser.add_argument(
+        "--node-budget", type=int, default=DEFAULT_LIMITS.node_budget, help="solver search-node budget"
+    )
 
 
 def _limits(args: argparse.Namespace) -> SolveLimits:
@@ -201,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list every maximal geodesic")
     _add_input_options(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_LIMITS.max_geodesics)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("generate", help="emit a named family as an edge list or JSON")

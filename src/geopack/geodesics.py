@@ -87,13 +87,6 @@ class Geodesic:
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return self.vertices[0], self.vertices[-1]
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
 
 @dataclass(frozen=True)
 class GeodesicCatalog:

@@ -1,19 +1,21 @@
 """Exact solvers for geodesic packing (gpack) and geodesic transversal (gt).
 
 Both invariants run on one mask state over the maximal-geodesic catalog.
-The entries are numbered once, shortest first with ties in catalog order, and
-the only masks are the stars: for each vertex, the mask of the entries
-through it, O(m*n) bits for m entries on n vertices.  gpack packs
-pairwise vertex-disjoint entries, branching on the lowest vertex a candidate
-still holds; the induced-P3 packing of the NP-completeness reduction runs on
-the same packing engine.  gt is a minimum hitting set over the same catalog.
-The engines share their greedy bounds, as gpack <= gt suggests: disjoint
-entries bound gt from below, and stars hitting every entry bound gpack from
-above.  Each invariant has one deterministic bitmask branch and bound that
-takes a starting bound and a stop target: run to the end it finds the
-optimum, and stopped at a target it decides the prefix-feasibility tests
-that build a lexicographically least optimal witness, so outputs are
-reproducible.
+The entries are numbered once, shortest first with ties in catalog order,
+and the only masks are the stars: for each vertex, the mask of the entries
+through it, O(m*n) bits for m entries on n vertices.  gpack packs pairwise
+vertex-disjoint entries, branching on the lowest vertex a candidate still
+holds; the induced-P3 packing of the NP-completeness reduction runs on the
+same packing engine.  gt is a minimum hitting set over the same catalog,
+branching on the lowest uncovered entry with at most one allowed vertex left
+(read off the stars of the allowed vertices), else on the lowest uncovered
+entry, a shortest one.  The engines share their greedy bounds, as
+gpack <= gt suggests: disjoint entries bound gt from below, and stars
+hitting every entry bound gpack from above.  Each invariant has one
+deterministic bitmask branch and bound that takes a starting bound and a
+stop target: run to the end it finds the optimum, and stopped at a target
+it decides the prefix-feasibility tests that build a lexicographically
+least optimal witness, so outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
     EnumerationOverflow,
 )
 from .geodesics import (
+    DEFAULT_CAP,
     Geodesic,
     GeodesicCatalog,
     enumerate_maximal_geodesics,
@@ -42,7 +45,7 @@ from .graphs import Graph, derived_graph
 class SolveLimits:
     """Resource ceilings for the exact solvers."""
 
-    max_geodesics: int = 100_000
+    max_geodesics: int = DEFAULT_CAP
     time_budget: float = 60.0
     node_budget: int = 10_000_000
 
@@ -327,23 +330,6 @@ def gpack_report(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> SolveResult:
 # Hitting-set engine (gt)
 # ---------------------------------------------------------------------------
 
-def _branch_vertices(uncovered: int, forbidden: int, sets: Sequence[Sequence[int]]) -> list[int]:
-    # The allowed vertices of the uncovered set with the fewest of them.
-    best_allowed: list[int] = []
-    best_count = -1
-    c = uncovered
-    while c:
-        j = (c & -c).bit_length() - 1
-        c &= c - 1
-        allowed = [v for v in sets[j] if not (forbidden >> v) & 1]
-        if best_count < 0 or len(allowed) < best_count:
-            best_count = len(allowed)
-            best_allowed = allowed
-            if best_count <= 1:
-                break
-    return best_allowed
-
-
 def _hs_search(
     uncovered: int,
     forbidden: int,
@@ -376,7 +362,15 @@ def _hs_search(
             continue
         if count + _greedy_disjoint(uncovered, sets, covers) >= best:
             continue
-        allowed = _branch_vertices(uncovered, forbidden, sets)
+        # The sets holding at least one (once) and two (twice) allowed
+        # vertices; branch on the lowest set outside twice, else the lowest.
+        once = twice = 0
+        for v, star in enumerate(covers):
+            if not (forbidden >> v) & 1:
+                twice |= once & star
+                once |= star
+        pick = uncovered & ~twice or uncovered
+        allowed = [v for v in sets[(pick & -pick).bit_length() - 1] if not (forbidden >> v) & 1]
         if not allowed:
             continue
         # Partition by the first allowed vertex the solution uses.

@@ -124,20 +124,14 @@ def gpack_tree(t: Graph) -> tuple[int, LeafPairSet]:
 
     pairs: list[tuple[int, int]] = []
     while alive_count >= 3:
-        p = -1
+        # Every vertex whose status can change is pushed again, so the lazy
+        # queue holds an end support vertex while three vertices remain.
         while candidates:
-            cand = heapq.heappop(candidates)
-            if is_end_support(cand):
-                p = cand
+            p = heapq.heappop(candidates)
+            if is_end_support(p):
                 break
-        if p < 0:
-            # Lazy queue may have missed a status change; rebuild once.
-            for v in range(t.n):
-                if is_end_support(v):
-                    heapq.heappush(candidates, v)
-            if not candidates:
-                raise ContractViolation("tree invariant broken: no end support vertex")
-            continue
+        else:
+            raise ContractViolation("tree invariant broken: no end support vertex")
         leaves = sorted(w for w in adj[p] if len(adj[w]) == 1)
         pairs.append((leaves[0], leaves[1]))
         non_leaf = [w for w in adj[p] if len(adj[w]) > 1]

@@ -35,14 +35,9 @@ from .trees import random_tree, verify_tree_equality
 
 SUITE_NAMES = ("formulas", "trees", "reduction", "grids", "all")
 
-_FORMULA_GRID_DIMS = (
-    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
-    (3, 3), (3, 4), (2, 2, 2), (2, 2, 3),
-)
-
-_ACCEPTANCE_GRID_DIMS = (
-    (2, 2), (2, 3), (3, 3), (2, 4), (3, 4),
-    (2, 2, 3), (2, 2, 4), (2, 3, 3), (2, 3, 4),
+_GRID_DIMS = (
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4),
+    (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3), (2, 3, 4),
 )
 
 
@@ -158,13 +153,6 @@ def suite_formulas(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
                 f"size {len(transversal)}, hits_all={hits_all}",
             )
         )
-    for dims in _FORMULA_GRID_DIMS:
-        g = diagonal_grid(dims)
-        want = formula_value(FamilySpec("diagonal_grid", dims), "gpack")
-        got = gpack_value(g, limits)
-        results.append(
-            _check(f"gpack(grid {dims}) = {want}", got == want, f"solver gave {got}")
-        )
     return results
 
 
@@ -211,7 +199,7 @@ def suite_reduction(
 
 def suite_grids(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
     results = []
-    for dims in _ACCEPTANCE_GRID_DIMS:
+    for dims in _GRID_DIMS:
         g = diagonal_grid(dims)
         want = formula_value(FamilySpec("diagonal_grid", dims), "gpack")
         got = gpack_value(g, limits)

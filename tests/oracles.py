@@ -180,13 +180,15 @@ def brute_lex_least_packing(sets: list[set[int]]) -> list[int]:
     return best
 
 
-def brute_min_hitting(sets: list[set[int]], n: int) -> int:
-    """Smallest vertex subset meeting every set, by subset enumeration."""
-    if not sets:
-        return 0
+def brute_lex_least_hitting(sets: list[set[int]], n: int) -> tuple[int, ...]:
+    """Lexicographically least smallest vertex subset meeting every set.
+
+    Subsets are enumerated by size, each size in lexicographic order, so the
+    first one meeting every set is the answer.
+    """
     for k in range(n + 1):
         for subset in combinations(range(n), k):
             chosen = set(subset)
             if all(chosen & s for s in sets):
-                return k
+                return subset
     raise AssertionError("unreachable")

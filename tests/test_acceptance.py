@@ -17,7 +17,7 @@ from pathlib import Path
 
 import geopack as gp
 from geopack.verify import (
-    _ACCEPTANCE_GRID_DIMS,
+    _GRID_DIMS,
     random_connected_bipartite_max3,
     random_graph,
     rook_ratio_curve,
@@ -180,7 +180,7 @@ def test_criterion_08_diagonal_grids():
         # Far above the 225 nodes (2, 3, 4) needs, so a search that loses its
         # pruning fails here instead of running for minutes.
         limits = gp.SolveLimits(node_budget=10_000)
-        for dims in _ACCEPTANCE_GRID_DIMS:
+        for dims in _GRID_DIMS:
             g = gp.diagonal_grid(dims)
             expected = 1
             for d in sorted(dims)[1:]:

@@ -81,6 +81,15 @@ def test_gt_rook6_north_star():
     assert gp.gt_value(gp.rook_graph(6), gp.SolveLimits(node_budget=40_000)) == 26
 
 
+@pytest.mark.slow
+def test_gt_rook6_witness():
+    # The lex-least witness is the 5 x 5 block of the first five rows and
+    # columns plus cell 35; value and witness take 131,121 nodes.
+    value, transversal = gp.gt_exact(gp.rook_graph(6), gp.SolveLimits(node_budget=140_000))
+    block = tuple(6 * r + c for r in range(5) for c in range(5))
+    assert value == 26 and transversal.vertices == block + (35,)
+
+
 def test_gt_witness_is_lexicographically_least():
     value, transversal = gp.gt_exact(gp.complete_graph(4))
     assert value == 3 and transversal.vertices == (0, 1, 2)
@@ -308,14 +317,18 @@ def test_solvers_match_catalog_bruteforce_on_random_graphs():
     import random
 
     from geopack.verify import random_graph
-    from oracles import brute_lex_least_packing, brute_min_hitting
+    from oracles import brute_lex_least_hitting, brute_lex_least_packing
 
     rng = random.Random(1234)
     for _ in range(200):
         g = random_graph(rng.randint(1, 10), rng.uniform(0.1, 0.9), rng)
         geos = gp.enumerate_maximal_geodesics(g).geodesics
-        least = brute_lex_least_packing([set(p.vertices) for p in geos])
+        sets = [set(p.vertices) for p in geos]
+        least = brute_lex_least_packing(sets)
         value, packing = gp.gpack_exact(g)
         assert value == len(least)
         assert packing.geodesics == tuple(geos[j] for j in least)
-        assert gp.gt_value(g) == brute_min_hitting([set(p.vertices) for p in geos], g.n)
+        hitting = brute_lex_least_hitting(sets, g.n)
+        value, transversal = gp.gt_exact(g)
+        assert value == gp.gt_value(g) == len(hitting)
+        assert transversal.vertices == hitting

@@ -15,6 +15,7 @@ import sys
 from .errors import BudgetExceeded, DomainError, ParseError, SpecError
 from .geodesics import catalog_to_json_dict, enumerate_maximal_geodesics
 from .graphs import (
+    FamilySpec,
     Graph,
     generate,
     graph_to_edge_list,
@@ -155,8 +156,6 @@ _RATIO_FAMILIES = ("rook", "complete", "complete_bipartite")
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
-    from .graphs import complete_bipartite_graph, complete_graph, rook_graph
-
     if args.min < 2:
         raise DomainError("ratio table needs n >= 2")
     if args.min > args.max:
@@ -164,12 +163,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     limits = _limits(args)
     rows = []
     for n in range(args.min, args.max + 1):
-        if args.family == "rook":
-            g = rook_graph(n)
-        elif args.family == "complete":
-            g = complete_graph(n)
-        else:
-            g = complete_bipartite_graph(n, n)
+        g = generate(FamilySpec(args.family, (n, n) if args.family == "complete_bipartite" else (n,)))
         report = duality_check(g, limits)
         row = {
             "n": n,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError, SpecError
 
@@ -308,16 +308,20 @@ def smooth(g: Graph) -> SmoothResult:
 # Family specs
 # ---------------------------------------------------------------------------
 
-_ATOMIC_KINDS = {
-    "path",
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "star",
-    "rook",
-    "diagonal_grid",
+# Each named family: its parameter count (None: one or more) and its builder.
+_FAMILIES: dict[str, tuple[int | None, Callable[..., Graph]]] = {
+    "path": (1, path_graph),
+    "cycle": (1, cycle_graph),
+    "complete": (1, complete_graph),
+    "complete_bipartite": (2, complete_bipartite_graph),
+    "star": (1, star_graph),
+    "rook": (1, rook_graph),
+    "diagonal_grid": (None, lambda *dims: diagonal_grid(dims)),
 }
-_PRODUCT_KINDS = {"cartesian_product", "strong_product"}
+_PRODUCTS: dict[str, Callable[[Graph, Graph], Graph]] = {
+    "cartesian_product": cartesian_product,
+    "strong_product": strong_product,
+}
 
 
 @dataclass(frozen=True)
@@ -326,47 +330,24 @@ class FamilySpec:
 
     kind: str
     params: tuple[int, ...] = ()
-    operands: tuple[Union["FamilySpec", Graph], ...] = ()
+    operands: tuple[FamilySpec, ...] = ()
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Instantiate a family spec, validating its parameters."""
-    kind = spec.kind
-    if kind in _PRODUCT_KINDS:
+    """Instantiate a family spec from the ``_FAMILIES`` or ``_PRODUCTS`` table."""
+    kind, p = spec.kind, spec.params
+    if kind in _PRODUCTS:
         if len(spec.operands) != 2:
             raise SpecError(f"{kind} needs exactly two operands")
-        factors = [op if isinstance(op, Graph) else generate(op) for op in spec.operands]
-        combine = cartesian_product if kind == "cartesian_product" else strong_product
-        return combine(factors[0], factors[1])
-    if kind not in _ATOMIC_KINDS:
+        return _PRODUCTS[kind](*map(generate, spec.operands))
+    if kind not in _FAMILIES:
         raise SpecError(f"unknown family kind {kind!r}")
-    p = spec.params
-    if kind == "path":
-        _expect_params(kind, p, 1)
-        return path_graph(p[0])
-    if kind == "cycle":
-        _expect_params(kind, p, 1)
-        return cycle_graph(p[0])
-    if kind == "complete":
-        _expect_params(kind, p, 1)
-        return complete_graph(p[0])
-    if kind == "complete_bipartite":
-        _expect_params(kind, p, 2)
-        return complete_bipartite_graph(p[0], p[1])
-    if kind == "star":
-        _expect_params(kind, p, 1)
-        return star_graph(p[0])
-    if kind == "rook":
-        _expect_params(kind, p, 1)
-        return rook_graph(p[0])
-    if len(p) < 1:
-        raise SpecError("diagonal_grid needs at least one dimension")
-    return diagonal_grid(p)
-
-
-def _expect_params(kind: str, params: tuple[int, ...], count: int) -> None:
-    if len(params) != count:
-        raise SpecError(f"{kind} takes {count} parameter(s), got {len(params)}")
+    count, build = _FAMILIES[kind]
+    if count is None and not p:
+        raise SpecError(f"{kind} needs at least one dimension")
+    if count is not None and len(p) != count:
+        raise SpecError(f"{kind} takes {count} parameter(s), got {len(p)}")
+    return build(*p)
 
 
 _NAME_RE = re.compile(r"[A-Za-z_]+")
@@ -392,7 +373,8 @@ def _parse_spec(s: str) -> tuple[FamilySpec, str]:
         raise SpecError(f"cannot parse family spec at {s!r}")
     name = m.group(0)
     rest = s[m.end():]
-    if name in ("cartesian", "strong"):
+    kind = f"{name}_product"
+    if kind in _PRODUCTS:
         if not rest.startswith("("):
             raise SpecError(f"{name} product needs '({name} a,b)' syntax")
         left, rest = _parse_spec(rest[1:])
@@ -401,7 +383,6 @@ def _parse_spec(s: str) -> tuple[FamilySpec, str]:
         right, rest = _parse_spec(rest[1:])
         if not rest.startswith(")"):
             raise SpecError("unbalanced parentheses in family spec")
-        kind = "cartesian_product" if name == "cartesian" else "strong_product"
         return FamilySpec(kind, (), (left, right)), rest[1:]
     params: list[int] = []
     if rest.startswith(":"):
@@ -416,6 +397,6 @@ def _parse_spec(s: str) -> tuple[FamilySpec, str]:
                 rest = rest[1:]
                 continue
             break
-    if name not in _ATOMIC_KINDS:
+    if name not in _FAMILIES:
         raise SpecError(f"unknown family {name!r}")
     return FamilySpec(name, tuple(params)), rest

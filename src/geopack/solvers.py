@@ -3,19 +3,19 @@
 Both invariants run on one mask state over the maximal-geodesic catalog.
 The entries are numbered once, shortest first with ties in catalog order,
 and the only masks are the stars: for each vertex, the mask of the entries
-through it, O(m*n) bits for m entries on n vertices.  gpack packs pairwise
-vertex-disjoint entries, branching on the lowest vertex a candidate still
-holds; the induced-P3 packing of the NP-completeness reduction runs on the
-same packing engine.  gt is a minimum hitting set over the same catalog,
-branching on the lowest uncovered entry with at most one allowed vertex left
-(read off the stars of the allowed vertices), else on the lowest uncovered
-entry, a shortest one.  The engines share their greedy bounds, as
-gpack <= gt suggests: disjoint entries bound gt from below, and stars
-hitting every entry bound gpack from above.  Each invariant has one
-deterministic bitmask branch and bound that takes a starting bound and a
-stop target: run to the end it finds the optimum, and stopped at a target
-it decides the prefix-feasibility tests that build a lexicographically
-least optimal witness, so outputs are reproducible.
+through it, O(m*n) bits for m entries on n vertices.  Two twin engines take
+vertex sets and return a value and, if asked, a lexicographically least
+optimal witness.  ``_pack`` packs pairwise disjoint sets (gpack, and the
+induced-P3 packing of the NP-completeness reduction), branching on the
+lowest vertex a candidate still holds.  ``_cover`` is a minimum hitting set
+(gt), branching on the lowest uncovered set with at most one allowed vertex
+left (read off the stars of the allowed vertices), else on the lowest
+uncovered set, a shortest one.  They share their greedy bounds, as
+gpack <= gt suggests: disjoint sets bound gt from below, and stars hitting
+every set bound gpack from above.  Each search takes a starting bound and a
+stop target, so one search finds the optimum and decides the prefix tests
+that build the witness.  A solve out of nodes or time raises
+``BudgetExceeded`` with the root greedy bounds as its certified bounds.
 """
 
 from __future__ import annotations
@@ -98,21 +98,31 @@ class DualityReport(NamedTuple):
 
 
 class _Budget:
-    """Shared node/time accounting for one solve, including witness extraction."""
+    """Node/time accounting for one solve, witness extraction included.
 
-    __slots__ = ("node_budget", "deadline", "nodes")
+    A stop raises ``BudgetExceeded`` naming the solve (``what``), with the
+    root bounds its engine set in ``lower`` and ``upper`` before searching.
+    """
 
-    def __init__(self, limits: SolveLimits) -> None:
+    __slots__ = ("what", "node_budget", "deadline", "nodes", "lower", "upper")
+
+    def __init__(self, what: str, limits: SolveLimits) -> None:
+        self.what = what
         self.node_budget = limits.node_budget
         self.deadline = time.monotonic() + limits.time_budget
         self.nodes = 0
+        self.lower: int | None = None
+        self.upper: int | None = None
 
     def spend(self) -> None:
         self.nodes += 1
         if self.nodes > self.node_budget:
-            raise BudgetExceeded("search node budget exhausted", nodes=self.nodes)
-        if self.nodes % 256 == 0 and time.monotonic() > self.deadline:
-            raise BudgetExceeded("time budget exhausted", nodes=self.nodes)
+            reason = "search node budget exhausted"
+        elif self.nodes % 256 == 0 and time.monotonic() > self.deadline:
+            reason = "time budget exhausted"
+        else:
+            return
+        raise BudgetExceeded(f"{self.what} stopped: {reason}", lower=self.lower, upper=self.upper, nodes=self.nodes)
 
 
 def _number_sets(
@@ -232,51 +242,40 @@ def _pack_search(
 def _pack(
     sets: Sequence[Sequence[int]],
     n: int,
-    what: str,
     budget: _Budget,
     want_witness: bool,
 ) -> tuple[int, list[int] | None]:
     """Maximum number of pairwise disjoint vertex sets, with the lexicographically
     least optimal list of set indices when ``want_witness``."""
     m = len(sets)
-    if m == 0:
-        return 0, [] if want_witness else None
     order, sets, covers = _number_sets(sets, n)
-    min_size = len(sets[0])
-    upper = n // min_size
+    min_size = len(sets[0]) if sets else 1
     cand = (1 << m) - 1
-    greedy = _greedy_disjoint(cand, sets, covers)
-    try:
-        value = _pack_search(sets, covers, min_size, cand, greedy, upper, budget)
-        if not want_witness:
-            return value, None
-        # Walk the sets in input order and commit each one whose remainder
-        # still fits the optimum; each prefix test is exact, so the result is
-        # the lex-least optimal list of input indices.
-        chosen: list[int] = []
-        for j in sorted(range(m), key=order.__getitem__):
-            if len(chosen) == value:
-                break
-            if not (cand >> j) & 1:
-                continue
-            cand &= ~(1 << j)
-            rest = cand
-            for u in sets[j]:
-                rest &= ~covers[u]
-            need = value - len(chosen) - 1
-            if _pack_search(sets, covers, min_size, rest, need - 1, need, budget) >= need:
-                chosen.append(order[j])
-                cand = rest
-        if len(chosen) < value:
-            raise ContractViolation("witness extraction failed to match the optimum")
-        return value, chosen
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(
-            f"{what} stopped: {exc}",
-            lower=greedy,
-            upper=upper,
-            nodes=budget.nodes,
-        ) from None
+    budget.lower = _greedy_disjoint(cand, sets, covers)
+    budget.upper = n // min_size
+    value = _pack_search(sets, covers, min_size, cand, budget.lower, budget.upper, budget)
+    if not want_witness:
+        return value, None
+    # Walk the sets in input order and commit each one whose remainder still
+    # fits the optimum; each prefix test is exact, so the result is the
+    # lex-least optimal list of input indices.
+    chosen: list[int] = []
+    for j in sorted(range(m), key=order.__getitem__):
+        if len(chosen) == value:
+            break
+        if not (cand >> j) & 1:
+            continue
+        cand &= ~(1 << j)
+        rest = cand
+        for u in sets[j]:
+            rest &= ~covers[u]
+        need = value - len(chosen) - 1
+        if _pack_search(sets, covers, min_size, rest, need - 1, need, budget) >= need:
+            chosen.append(order[j])
+            cand = rest
+    if len(chosen) < value:
+        raise ContractViolation("witness extraction failed to match the optimum")
+    return value, chosen
 
 
 def _catalog_for(g: Graph, limits: SolveLimits, catalog: GeodesicCatalog | None) -> GeodesicCatalog:
@@ -303,9 +302,9 @@ def _solve_gpack(
     want_witness: bool = True,
 ) -> SolveResult:
     started = time.monotonic()
-    budget = _Budget(limits)
+    budget = _Budget("gpack search", limits)
     geos = _catalog_for(g, limits, catalog).geodesics
-    value, idxs = _pack([p.vertices for p in geos], g.n, "gpack search", budget, want_witness)
+    value, idxs = _pack([p.vertices for p in geos], g.n, budget, want_witness)
     witness = None if idxs is None else Packing(tuple(geos[i] for i in idxs))
     return SolveResult(value, witness, _stats(budget, started))
 
@@ -383,6 +382,41 @@ def _hs_search(
     return best
 
 
+def _cover(
+    sets: Sequence[Sequence[int]],
+    n: int,
+    budget: _Budget,
+    want_witness: bool,
+) -> tuple[int, list[int] | None]:
+    """Fewest vertices hitting every set, with the lexicographically least
+    optimal sorted vertex list when ``want_witness``."""
+    _, sets, covers = _number_sets(sets, n)
+    all_mask = (1 << len(sets)) - 1
+    budget.lower = _greedy_disjoint(all_mask, sets, covers)
+    budget.upper = value = _greedy_cover(all_mask, covers)
+    search = (sets, covers, budget)
+    if budget.lower < value:
+        value = _hs_search(all_mask, 0, value, 0, *search)
+    if not want_witness:
+        return value, None
+    # Keep each vertex, in order, whose remainder still fits the optimum.
+    chosen: list[int] = []
+    uncovered = all_mask
+    for v in range(n):
+        if not uncovered:
+            break
+        rest = uncovered & ~covers[v]
+        if rest == uncovered:
+            continue
+        limit = value - len(chosen) - 1
+        if _hs_search(rest, (1 << (v + 1)) - 1, limit + 1, limit, *search) <= limit:
+            chosen.append(v)
+            uncovered = rest
+    if uncovered:
+        raise ContractViolation("witness extraction failed to match the optimum")
+    return value, chosen
+
+
 def _solve_gt(
     g: Graph,
     limits: SolveLimits,
@@ -391,45 +425,10 @@ def _solve_gt(
     want_witness: bool = True,
 ) -> SolveResult:
     started = time.monotonic()
-    budget = _Budget(limits)
-    sets = [p.vertices for p in _catalog_for(g, limits, catalog).geodesics]
-    m = len(sets)
-    if m == 0:
-        return SolveResult(0, Transversal(()) if want_witness else None, _stats(budget, started))
-    _, sets, covers = _number_sets(sets, g.n)
-    all_mask = (1 << m) - 1
-    greedy_size = _greedy_cover(all_mask, covers)
-    root_lb = _greedy_disjoint(all_mask, sets, covers)
-    search = (sets, covers, budget)
-    try:
-        value = greedy_size
-        if root_lb < value:
-            value = _hs_search(all_mask, 0, value, 0, *search)
-        witness = None
-        if want_witness:
-            # Keep each vertex, in order, whose remainder still fits the optimum.
-            chosen: list[int] = []
-            uncovered = all_mask
-            for v in range(g.n):
-                if not uncovered:
-                    break
-                rest = uncovered & ~covers[v]
-                if rest == uncovered:
-                    continue
-                limit = value - len(chosen) - 1
-                if _hs_search(rest, (1 << (v + 1)) - 1, limit + 1, limit, *search) <= limit:
-                    chosen.append(v)
-                    uncovered = rest
-            if uncovered:
-                raise ContractViolation("witness extraction failed to match the optimum")
-            witness = Transversal(tuple(chosen))
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(
-            f"gt search stopped: {exc}",
-            lower=root_lb,
-            upper=greedy_size,
-            nodes=budget.nodes,
-        ) from None
+    budget = _Budget("gt search", limits)
+    geos = _catalog_for(g, limits, catalog).geodesics
+    value, vertices = _cover([p.vertices for p in geos], g.n, budget, want_witness)
+    witness = None if vertices is None else Transversal(tuple(vertices))
     return SolveResult(value, witness, _stats(budget, started))
 
 
@@ -484,7 +483,7 @@ def _induced_p3_paths(g: Graph) -> list[tuple[int, int, int]]:
 
 def induced_p3_packing_exact(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
     """Maximum number of vertex-disjoint induced three-vertex paths."""
-    return _pack(_induced_p3_paths(g), g.n, "induced P3 packing", _Budget(limits), want_witness=False)[0]
+    return _pack(_induced_p3_paths(g), g.n, _Budget("induced P3 packing", limits), want_witness=False)[0]
 
 
 def verify_np_reduction(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:

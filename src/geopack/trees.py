@@ -13,7 +13,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .errors import ContractViolation, DomainError
 from .graphs import Graph
@@ -55,6 +55,12 @@ def is_tree(g: Graph) -> bool:
     return reached == g.n
 
 
+def _is_end_support(adj: Sequence[Collection[int]], v: int) -> bool:
+    # A support vertex (one with a leaf neighbour) with at most one non-leaf neighbour.
+    leaf_nbrs = sum(1 for w in adj[v] if len(adj[w]) == 1)
+    return leaf_nbrs >= 1 and len(adj[v]) - leaf_nbrs <= 1
+
+
 def find_end_support_vertex(t: Graph) -> int:
     """Lowest-id support vertex with at most one non-leaf neighbour.
 
@@ -66,8 +72,7 @@ def find_end_support_vertex(t: Graph) -> int:
     if any(t.degree(v) == 2 for v in range(t.n)):
         raise ContractViolation("end support lookup needs a tree with no degree-2 vertices")
     for v in range(t.n):
-        leaf_nbrs = sum(1 for w in t.adj[v] if t.degree(w) == 1)
-        if leaf_nbrs >= 1 and t.degree(v) - leaf_nbrs <= 1:
+        if _is_end_support(t.adj, v):
             return v
     raise ContractViolation("no end support vertex found")
 
@@ -112,12 +117,6 @@ def gpack_tree(t: Graph) -> tuple[int, LeafPairSet]:
         if len(adj[v]) == 2:
             contract(v)
 
-    def is_end_support(v: int) -> bool:
-        if not alive[v] or not adj[v]:
-            return False
-        leaf_nbrs = sum(1 for w in adj[v] if len(adj[w]) == 1)
-        return leaf_nbrs >= 1 and len(adj[v]) - leaf_nbrs <= 1
-
     for v in range(t.n):
         if alive[v]:
             heapq.heappush(candidates, v)
@@ -128,7 +127,7 @@ def gpack_tree(t: Graph) -> tuple[int, LeafPairSet]:
         # queue holds an end support vertex while three vertices remain.
         while candidates:
             p = heapq.heappop(candidates)
-            if is_end_support(p):
+            if _is_end_support(adj, p):
                 break
         else:
             raise ContractViolation("tree invariant broken: no end support vertex")
@@ -148,9 +147,6 @@ def gpack_tree(t: Graph) -> tuple[int, LeafPairSet]:
                 x, y = contract(w)
                 heapq.heappush(candidates, x)
                 heapq.heappush(candidates, y)
-            elif len(adj[w]) == 1:
-                heapq.heappush(candidates, next(iter(adj[w])))
-                heapq.heappush(candidates, w)
             else:
                 heapq.heappush(candidates, w)
 

@@ -99,6 +99,11 @@ def test_tree_json(capsys):
     assert json.loads(out) == {"gpack": 1, "pairs": [[0, 4]]}
 
 
+def test_tree_text(capsys):
+    code, out = run(capsys, "tree", "--family", "path:5")
+    assert code == 0 and out == "gpack = 1\n  pair: 0 4\n"
+
+
 def test_tree_rejects_cycles(capsys):
     code = main(["tree", "--family", "cycle:5"])
     assert code == 2
@@ -119,6 +124,25 @@ def test_ratio_complete_approaches_two(capsys):
     rows = json.loads(out)["rows"]
     assert code == 0
     assert [r["ratio"] for r in rows] == ["1", "2", "3/2", "2", "5/3", "2"]
+
+
+def test_ratio_complete_bipartite(capsys):
+    code, out = run(capsys, "ratio", "complete_bipartite", "--min", "2", "--max", "4", "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert code == 0
+    assert [r["gpack"] for r in rows] == [1, 2, 2] and [r["gt"] for r in rows] == [2, 3, 4]
+
+
+def test_ratio_text_table(capsys):
+    code, out = run(capsys, "ratio", "complete", "--min", "2", "--max", "3")
+    lines = out.splitlines()
+    assert code == 0
+    assert [line.rstrip() for line in lines] == ["n  gpack  gt  ratio", "2  1      1   1", "3  1      2   2"]
+
+
+def test_verify_all_passes(capsys):
+    code, out = run(capsys, "verify", "all")
+    assert code == 0 and "FAIL" not in out
 
 
 def test_verify_formulas_passes(capsys):
@@ -165,6 +189,28 @@ def test_input_errors_exit_two(capsys):
 
 def test_budget_exit_three(capsys):
     assert main(["compute", "--family", "rook:4", "--invariant", "gt", "--node-budget", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: gt search stopped: search node budget exhausted"
+        " (bounds: lower=5, upper=12)\n"
+    )
+
+
+def test_time_budget_exit_three(capsys):
+    # The clock is read every 256 nodes, so the stop comes at node 256.
+    assert main(["compute", "--family", "rook:5", "--invariant", "gt", "--time-budget", "1e-9"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: gt search stopped: time budget exhausted"
+        " (bounds: lower=7, upper=19)\n"
+    )
+
+
+def test_gpack_budget_exit_three(capsys):
+    # The root certifies the value, so the stop comes from witness extraction.
+    assert main(["compute", "--family", "rook:4", "--invariant", "gpack", "--node-budget", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: gpack search stopped: search node budget exhausted"
+        " (bounds: lower=5, upper=5)\n"
+    )
 
 
 def test_module_entry_point():

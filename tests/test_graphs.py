@@ -118,9 +118,41 @@ def test_star_shape():
     assert g.n == 5 and g.degree(0) == 4 and degree_multiset(g) == [1, 1, 1, 1, 4]
 
 
-def test_generate_matches_direct():
-    spec = gp.FamilySpec("complete_bipartite", (2, 3))
-    assert gp.generate(spec).adj == gp.complete_bipartite_graph(2, 3).adj
+DIRECT_BUILDS = {
+    "path:4": lambda: gp.path_graph(4),
+    "cycle:5": lambda: gp.cycle_graph(5),
+    "complete:4": lambda: gp.complete_graph(4),
+    "complete_bipartite:2,3": lambda: gp.complete_bipartite_graph(2, 3),
+    "star:3": lambda: gp.star_graph(3),
+    "rook:3": lambda: gp.rook_graph(3),
+    "diagonal_grid:2,3": lambda: gp.diagonal_grid((2, 3)),
+    "cartesian(path:2,cycle:3)": lambda: gp.cartesian_product(gp.path_graph(2), gp.cycle_graph(3)),
+    "strong(path:2,path:3)": lambda: gp.strong_product(gp.path_graph(2), gp.path_graph(3)),
+}
+
+
+@pytest.mark.parametrize("text", DIRECT_BUILDS)
+def test_generate_matches_direct(text):
+    # Graph equality covers n, the adjacency and the labels.
+    assert gp.generate(gp.parse_family(text)) == DIRECT_BUILDS[text]()
+
+
+WRONG_ARITY = {
+    "path:2,3": "path takes 1 parameter(s), got 2",
+    "cycle": "cycle takes 1 parameter(s), got 0",
+    "complete:2,3": "complete takes 1 parameter(s), got 2",
+    "complete_bipartite:3": "complete_bipartite takes 2 parameter(s), got 1",
+    "star:1,2,3": "star takes 1 parameter(s), got 3",
+    "rook": "rook takes 1 parameter(s), got 0",
+    "diagonal_grid": "diagonal_grid needs at least one dimension",
+}
+
+
+@pytest.mark.parametrize("text", WRONG_ARITY)
+def test_generate_wrong_arity(text):
+    with pytest.raises(SpecError) as info:
+        gp.generate(gp.parse_family(text))
+    assert str(info.value) == WRONG_ARITY[text]
 
 
 # ---------------------------------------------------------------------------

@@ -260,11 +260,20 @@ def test_gpack_budget_exceeded():
     assert info.value.lower >= 1
 
 
+def test_time_budget_exceeded():
+    # The clock is read every 256 nodes; a stop names the solve and its root bounds.
+    with pytest.raises(BudgetExceeded) as info:
+        gp.gt_value(gp.rook_graph(5), gp.SolveLimits(time_budget=1e-9))
+    assert str(info.value) == "gt search stopped: time budget exhausted"
+    assert (info.value.lower, info.value.upper, info.value.nodes) == (7, 19, 256)
+
+
 def test_p3_packing_budget_exceeded():
     g = gp.generate(gp.parse_family("cartesian(path:3,path:3)"))
     with pytest.raises(BudgetExceeded) as info:
         gp.induced_p3_packing_exact(g, gp.SolveLimits(node_budget=1))
     assert info.value.lower <= oracle_induced_p3_packing(g) <= info.value.upper == g.n // 3
+    assert str(info.value) == "induced P3 packing stopped: search node budget exhausted"
 
 
 @pytest.mark.parametrize(

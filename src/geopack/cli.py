@@ -179,9 +179,9 @@ def cmd_ratio(args: argparse.Namespace) -> int:
         return 0
     headers = list(rows[0].keys())
     widths = {h: max(len(h), max(len(str(r[h])) for r in rows)) for h in headers}
-    print("  ".join(h.ljust(widths[h]) for h in headers))
+    print("  ".join(h.ljust(widths[h]) for h in headers).rstrip())
     for r in rows:
-        print("  ".join(str(r[h]).ljust(widths[h]) for h in headers))
+        print("  ".join(str(r[h]).ljust(widths[h]) for h in headers).rstrip())
     return 0
 
 

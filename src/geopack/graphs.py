@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import DomainError, ParseError, SpecError
+from .errors import ContractViolation, DomainError, ParseError, SpecError
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,13 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         neighbour_sets: list[set[int]] = [set() for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
+            if v in neighbour_sets[u]:
+                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             neighbour_sets[u].add(v)
             neighbour_sets[v].add(u)
         label_tuple: tuple[tuple[int, ...], ...] | None = None
@@ -261,36 +258,37 @@ class SmoothResult(NamedTuple):
     old_to_new: dict[int, int]
 
 
+def _suppress(adj: list[set[int]], v: int) -> tuple[int, int]:
+    """Replace the degree-2 vertex v by the edge between its neighbours x, y; return (x, y)."""
+    x, y = adj[v]
+    if x in adj[y]:
+        raise ContractViolation("contraction would create a parallel edge")
+    adj[x].remove(v)
+    adj[y].remove(v)
+    adj[x].add(y)
+    adj[y].add(x)
+    adj[v].clear()
+    return x, y
+
+
 def smooth(g: Graph) -> SmoothResult:
     """Repeatedly suppress degree-2 vertices while the graph stays simple.
 
     A vertex u with exactly two neighbours x, y is removed and replaced by
     the edge xy, but only when xy is not already present (so the result is
     still simple).  The lowest-id eligible vertex is always smoothed first,
-    making the result deterministic.  Surviving vertices are relabelled to
-    0..k-1; ``old_to_new`` maps surviving original ids to new ids.
+    making the result deterministic.  One ascending pass does this: a
+    suppression never makes a lower vertex eligible.  Surviving vertices
+    (those with neighbours left, plus the isolated vertices of ``g``) are
+    relabelled to 0..k-1; ``old_to_new`` maps surviving original ids to new ids.
     """
     adj = [set(nbrs) for nbrs in g.adj]
-    alive = [True] * g.n
-    while True:
-        target = -1
-        for v in range(g.n):
-            if not alive[v] or len(adj[v]) != 2:
-                continue
-            x, y = sorted(adj[v])
+    for v in range(g.n):
+        if len(adj[v]) == 2:
+            x, y = adj[v]
             if x not in adj[y]:
-                target = v
-                break
-        if target < 0:
-            break
-        x, y = sorted(adj[target])
-        adj[x].discard(target)
-        adj[y].discard(target)
-        adj[x].add(y)
-        adj[y].add(x)
-        adj[target].clear()
-        alive[target] = False
-    kept = [v for v in range(g.n) if alive[v]]
+                _suppress(adj, v)
+    kept = [v for v in range(g.n) if adj[v] or not g.adj[v]]
     old_to_new = {old: new for new, old in enumerate(kept)}
     edges = [
         (old_to_new[u], old_to_new[v])

@@ -211,8 +211,6 @@ def _pack_search(
             best = size
             if best >= target:
                 break
-        if not cand:
-            continue
         slack = best - size
         if cand.bit_count() <= slack:
             continue

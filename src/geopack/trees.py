@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Collection, Sequence
 
 from .errors import ContractViolation, DomainError
-from .graphs import Graph
-from .solvers import DEFAULT_LIMITS, SolveLimits, gpack_value, gt_value
+from .graphs import Graph, _suppress
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,11 @@ def find_end_support_vertex(t: Graph) -> int:
 def gpack_tree(t: Graph) -> tuple[int, LeafPairSet]:
     """Geodesic packing number of a tree with a leaf-pair witness.
 
-    The witness pairs use the original vertex ids: smoothing and deletions
-    operate in place on the input ids, never relabelling.  End support
-    vertices are consumed lowest-id first, fixing the witness
-    deterministically.
+    The witness pairs use the original vertex ids: degree-2 suppression
+    (the ``_suppress`` step ``smooth`` uses) and deletions operate in place
+    on the input ids, never relabelling, and a vertex stays live while it
+    has neighbours.  End support vertices are consumed lowest-id first,
+    fixing the witness deterministically.
     """
     if t.n == 0:
         return 0, LeafPairSet(())
@@ -93,36 +93,14 @@ def gpack_tree(t: Graph) -> tuple[int, LeafPairSet]:
         return 1, LeafPairSet(((0, 0),))
 
     adj: list[set[int]] = [set(nbrs) for nbrs in t.adj]
-    alive = [True] * t.n
-    alive_count = t.n
-    candidates: list[int] = []
-
-    def contract(v: int) -> tuple[int, int]:
-        # Suppress a degree-2 vertex; in a tree its neighbours are never
-        # adjacent, so the graph stays simple and degrees are preserved.
-        nonlocal alive_count
-        x, y = adj[v]
-        if x in adj[y]:
-            raise ContractViolation("contraction would create a parallel edge")
-        adj[x].discard(v)
-        adj[y].discard(v)
-        adj[x].add(y)
-        adj[y].add(x)
-        adj[v].clear()
-        alive[v] = False
-        alive_count -= 1
-        return x, y
-
     for v in range(t.n):
         if len(adj[v]) == 2:
-            contract(v)
-
-    for v in range(t.n):
-        if alive[v]:
-            heapq.heappush(candidates, v)
+            _suppress(adj, v)
+    candidates = [v for v in range(t.n) if adj[v]]  # ascending, so already a heap
+    live = len(candidates)
 
     pairs: list[tuple[int, int]] = []
-    while alive_count >= 3:
+    while live >= 3:
         # Every vertex whose status can change is pushed again, so the lazy
         # queue holds an end support vertex while three vertices remain.
         while candidates:
@@ -136,34 +114,25 @@ def gpack_tree(t: Graph) -> tuple[int, LeafPairSet]:
         non_leaf = [w for w in adj[p] if len(adj[w]) > 1]
         for w in leaves:
             adj[w].clear()
-            alive[w] = False
         adj[p].clear()
-        alive[p] = False
-        alive_count -= 1 + len(leaves)
+        live -= 1 + len(leaves)
         if non_leaf:
             w = non_leaf[0]
             adj[w].discard(p)
             if len(adj[w]) == 2:
-                x, y = contract(w)
+                x, y = _suppress(adj, w)
+                live -= 1
                 heapq.heappush(candidates, x)
                 heapq.heappush(candidates, y)
             else:
                 heapq.heappush(candidates, w)
 
-    if alive_count == 2:
-        a, b = sorted(v for v in range(t.n) if alive[v])
+    if live == 2:
+        a, b = (v for v in range(t.n) if adj[v])
         pairs.append((a, b))
 
     pairs.sort()
     return len(pairs), LeafPairSet(tuple(pairs))
-
-
-def verify_tree_equality(t: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
-    """Tree algorithm vs. exact transversal, cross-checked against exact packing."""
-    if not is_tree(t):
-        raise DomainError("equality check needs a tree")
-    value, _ = gpack_tree(t)
-    return value == gt_value(t, limits) == gpack_value(t, limits)
 
 
 def tree_pairs_to_json_dict(value: int, pairs: LeafPairSet) -> dict:
@@ -204,7 +173,5 @@ def random_tree(n: int, rng: random.Random) -> Graph:
         raise DomainError("random tree needs n >= 1")
     if n == 1:
         return Graph.from_edges(1, [])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return tree_from_pruefer(seq, n)

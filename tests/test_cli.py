@@ -137,7 +137,12 @@ def test_ratio_text_table(capsys):
     code, out = run(capsys, "ratio", "complete", "--min", "2", "--max", "3")
     lines = out.splitlines()
     assert code == 0
-    assert [line.rstrip() for line in lines] == ["n  gpack  gt  ratio", "2  1      1   1", "3  1      2   2"]
+    assert lines == ["n  gpack  gt  ratio", "2  1      1   1", "3  1      2   2"]
+
+
+def test_ratio_needs_n_at_least_two(capsys):
+    assert main(["ratio", "rook", "--min", "1"]) == 2
+    assert capsys.readouterr().err == "error: ratio table needs n >= 2\n"
 
 
 def test_verify_all_passes(capsys):
@@ -161,6 +166,14 @@ def test_verify_grids_passes(capsys):
 def test_verify_trees_seeded(capsys):
     code, out = run(capsys, "verify", "trees", "--n", "30", "--count", "5", "--seed", "7")
     assert code == 0 and out.count("PASS") == 5
+
+
+def test_verify_trees_budget_inconclusive(capsys):
+    code, out = run(capsys, "verify", "trees", "--n", "30", "--count", "2", "--node-budget", "1")
+    assert code == 3
+    assert out.splitlines() == [
+        f"INCONCLUSIVE tree {i} (n=30): gt search stopped: search node budget exhausted" for i in range(2)
+    ] + ["# 0/2 passed"]
 
 
 def test_verify_reduction_seeded(capsys):

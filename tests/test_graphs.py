@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 
 import geopack as gp
-from geopack.errors import DomainError, ParseError, SpecError
+from geopack.errors import ContractViolation, DomainError, ParseError, SpecError
+from geopack.graphs import _suppress as suppress
 
 from conftest import graphs_st, trees_st
 
@@ -86,8 +87,8 @@ def test_from_edges_validation():
         gp.Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         gp.Graph.from_edges(2, [(0, 3)])
-    with pytest.raises(ValueError):
-        gp.Graph.from_edges(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+        gp.Graph.from_edges(3, [(1, 2), (2, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +256,19 @@ def test_smooth_p5_keeps_leaf_ids():
     result = gp.smooth(gp.path_graph(5))
     assert result.graph.n == 2 and result.graph.edge_count == 1
     assert sorted(result.old_to_new) == [0, 4]
+
+
+def test_smooth_keeps_isolated_vertices():
+    result = gp.smooth(gp.Graph.from_edges(5, [(0, 1), (1, 2)]))
+    assert result.graph.n == 4 and result.graph.edges() == [(0, 1)]
+    assert result.old_to_new == {0: 0, 2: 1, 3: 2, 4: 3}
+
+
+def test_suppress_refuses_a_parallel_edge():
+    adj = [set(nbrs) for nbrs in gp.complete_graph(3).adj]
+    with pytest.raises(ContractViolation, match="parallel edge"):
+        suppress(adj, 0)
+    assert adj == [{1, 2}, {0, 2}, {0, 1}]
 
 
 def test_smooth_spider_to_star():

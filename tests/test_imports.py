@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,3 +22,17 @@ def test_library_imports_only_the_standard_library():
                 continue
             outside += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     assert len(list(SRC.glob("*.py"))) > 1 and outside == []
+
+
+def test_tree_oracle_imports_no_solver():
+    # gpack_tree is the oracle the solvers are checked against, so it must not lean on them.
+    tree = ast.parse((SRC / "trees.py").read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"graphs", "errors"}
+
+
+def test_package_import_leaves_the_suites_unloaded():
+    code = "import sys, geopack; print('geopack.verify' in sys.modules, geopack.verify_tree_equality.__module__)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "geopack.verify"]

@@ -90,6 +90,11 @@ def test_gt_rook6_witness():
     assert value == 26 and transversal.vertices == block + (35,)
 
 
+def test_gt_report_rook3():
+    report = gp.gt_report(gp.rook_graph(3))
+    assert report.value == 5 and report.witness.vertices == (0, 1, 3, 4, 8)
+
+
 def test_gt_witness_is_lexicographically_least():
     value, transversal = gp.gt_exact(gp.complete_graph(4))
     assert value == 3 and transversal.vertices == (0, 1, 2)

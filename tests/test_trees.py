@@ -105,6 +105,15 @@ def test_spider_with_four_legs():
     assert_valid_witness(spider, value, pairs)
 
 
+def test_suppression_after_deleting_an_end_support_vertex():
+    # Deleting 1 with leaves 3, 4 leaves 0 with degree 2; suppressing it
+    # joins 2 and 7, so 2 becomes an end support vertex with leaves 5, 6, 7.
+    t = gp.Graph.from_edges(8, [(0, 1), (0, 2), (0, 7), (1, 3), (1, 4), (2, 5), (2, 6)])
+    value, pairs = gp.gpack_tree(t)
+    assert value == 2 and pairs.pairs == ((3, 4), (5, 6))
+    assert_valid_witness(t, value, pairs)
+
+
 def test_single_vertex_tree():
     assert gp.gpack_tree(gp.complete_graph(1)) == (1, gp.LeafPairSet(((0, 0),)))
 
@@ -205,6 +214,13 @@ def test_random_tree_is_deterministic_per_seed():
     a = gp.random_tree(20, random.Random(9))
     b = gp.random_tree(20, random.Random(9))
     assert a == b and gp.is_tree(a)
+
+
+def test_random_tree_on_two_vertices_draws_nothing():
+    rng = random.Random(9)
+    state = rng.getstate()
+    assert gp.random_tree(2, rng) == gp.Graph.from_edges(2, [(0, 1)])
+    assert rng.getstate() == state
 
 
 def test_large_tree_solves_quickly():

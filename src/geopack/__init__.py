@@ -87,6 +87,10 @@ from .trees import (
 
 __version__ = "0.1.0"
 
+# The built-in verification suites, which ``geopack.verify`` runs; the CLI
+# offers them without loading that module.
+SUITE_NAMES = ("formulas", "trees", "reduction", "grids", "all")
+
 
 def __getattr__(name: str):
     # The verification suites load on first use: without a bytecode cache,

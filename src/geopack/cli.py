@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from . import SUITE_NAMES
 from .errors import BudgetExceeded, DomainError, ParseError, SpecError
 from .geodesics import catalog_to_json_dict, enumerate_maximal_geodesics
 from .graphs import (
@@ -33,7 +34,6 @@ from .solvers import (
     solve_result_to_json_dict,
 )
 from .trees import gpack_tree, tree_pairs_to_json_dict
-from .verify import SUITE_NAMES, rook_ratio_curve, run_suite
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
@@ -130,6 +130,8 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite  # the suites load only for the commands that run them
+
     limits = _limits(args)
     results = run_suite(
         args.suite, size=args.n, count=args.count, seed=args.seed, limits=limits
@@ -156,6 +158,8 @@ _RATIO_FAMILIES = ("rook", "complete", "complete_bipartite")
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
+    from .verify import rook_ratio_curve
+
     if args.min < 2:
         raise DomainError("ratio table needs n >= 2")
     if args.min > args.max:

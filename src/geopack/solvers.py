@@ -12,10 +12,15 @@ lowest vertex a candidate still holds.  ``_cover`` is a minimum hitting set
 left (read off the stars of the allowed vertices), else on the lowest
 uncovered set, a shortest one.  They share their greedy bounds, as
 gpack <= gt suggests: disjoint sets bound gt from below, and stars hitting
-every set bound gpack from above.  Each search takes a starting bound and a
-stop target, so one search finds the optimum and decides the prefix tests
-that build the witness.  A solve out of nodes or time raises
-``BudgetExceeded`` with the root greedy bounds as its certified bounds.
+every set bound gpack from above; each greedy returns what it picked.  Each
+search takes a starting bound and a stop target and returns the packing or
+cover it found, so one search finds the optimum and decides the prefix tests
+that build the witness.  The witness loop keeps an optimal solution that
+holds every committed set or vertex and no rejected one: the root greedy's
+when the root certifies, else the value search's.  A prefix test that
+solution already holds passes with no search; one that searches and passes
+replaces it.  A solve out of nodes or time raises ``BudgetExceeded`` with
+the root greedy bounds as its certified bounds.
 """
 
 from __future__ import annotations
@@ -152,29 +157,32 @@ def _number_sets(
 def _greedy_disjoint(uncovered: int, sets: Sequence[Sequence[int]], covers: Sequence[int]) -> int:
     # Pairwise disjoint sets, shortest first: a packing, so a lower bound for
     # gpack, and each needs a private transversal vertex, so one for gt too.
-    # Take the lowest position left and strip every set meeting it.
-    count = 0
+    # Take the lowest position left and strip every set meeting it; returns
+    # the mask of the positions taken.
+    picked = 0
     while uncovered:
-        for v in sets[(uncovered & -uncovered).bit_length() - 1]:
+        low = uncovered & -uncovered
+        picked |= low
+        for v in sets[low.bit_length() - 1]:
             uncovered &= ~covers[v]
-        count += 1
-    return count
+    return picked
 
 
 def _greedy_cover(uncovered: int, stars: Sequence[int]) -> int:
     # Take the star (the sets through one vertex) holding the most uncovered
     # sets, lowest first on ties, until every set is hit: an upper bound for
     # gt, and for gpack too, since sets through one vertex pairwise meet.
-    count = 0
+    # Returns the mask of the star indices taken.
+    picked = 0
     while uncovered:
-        best_s, best_c = 0, 0
-        for s in stars:
+        best_i, best_c = 0, 0
+        for i, s in enumerate(stars):
             c = (s & uncovered).bit_count()
             if c > best_c:
-                best_c, best_s = c, s
-        uncovered &= ~best_s
-        count += 1
-    return count
+                best_c, best_i = c, i
+        uncovered &= ~stars[best_i]
+        picked |= 1 << best_i
+    return picked
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +197,31 @@ def _pack_search(
     best: int,
     target: int,
     budget: _Budget,
-) -> int:
-    """Most pairwise disjoint sets inside ``cand`` if that beats ``best``, else ``best``.
+) -> int | None:
+    """A largest packing inside ``cand``, as a position mask, if it beats ``best``.
 
-    The search stops as soon as it reaches ``target``.  With ``best`` a known
+    Returns None when no packing has more than ``best`` sets.  The search
+    stops at the first packing of ``target`` sets.  With ``best`` a known
     size and ``target`` the size cap it finds the optimum; with
-    ``best = need - 1`` and ``target = need`` it decides whether ``need`` fits.
-    Each node branches on its lowest live vertex v (one some candidate holds):
-    every lower vertex is decided, so either one of the candidates through v,
-    shortest first, joins the packing, or v stays unused.
+    ``best = need - 1`` and ``target = need`` it decides whether ``need`` fits
+    and finds such a packing.  Each node branches on its lowest live vertex v
+    (one some candidate holds): every lower vertex is decided, so either one
+    of the candidates through v, shortest first, joins the packing, or v
+    stays unused.
     """
-    best = max(best, 0)  # the empty packing always exists
+    found = None
+    if best < 0:  # the empty packing always exists
+        best, found = 0, 0
     if best >= target:
-        return best
+        return found
     n = len(covers)
     stack = [(cand, 0, 0)]
     while stack:
-        cand, size, lo = stack.pop()
+        cand, packed, lo = stack.pop()
         budget.spend()
+        size = packed.bit_count()
         if size > best:
-            best = size
+            best, found = size, packed
             if best >= target:
                 break
         slack = best - size
@@ -223,18 +236,18 @@ def _pack_search(
                 stars.append(s)
         # A packed candidate spends min_size live vertices, and stars hitting
         # every candidate each hold at most one packed candidate.
-        if len(stars) // min_size <= slack or _greedy_cover(cand, stars) <= slack:
+        if len(stars) // min_size <= slack or _greedy_cover(cand, stars).bit_count() <= slack:
             continue
         hold = stars[0]
-        stack.append((cand & ~hold, size, v + 1))
+        stack.append((cand & ~hold, packed, v + 1))
         while hold:  # highest position first, so the shortest set pops first
             j = hold.bit_length() - 1
             hold ^= 1 << j
             rest = cand
             for u in sets[j]:
                 rest &= ~covers[u]
-            stack.append((rest, size + 1, v + 1))
-    return best
+            stack.append((rest, packed | 1 << j, v + 1))
+    return found
 
 
 def _pack(
@@ -249,28 +262,40 @@ def _pack(
     order, sets, covers = _number_sets(sets, n)
     min_size = len(sets[0]) if sets else 1
     cand = (1 << m) - 1
-    budget.lower = _greedy_disjoint(cand, sets, covers)
+    greedy = _greedy_disjoint(cand, sets, covers)
+    budget.lower = greedy.bit_count()
     budget.upper = n // min_size
-    value = _pack_search(sets, covers, min_size, cand, budget.lower, budget.upper, budget)
+    found = _pack_search(sets, covers, min_size, cand, budget.lower, budget.upper, budget)
+    best = greedy if found is None else found  # an optimal packing
+    value = best.bit_count()
     if not want_witness:
         return value, None
     # Walk the sets in input order and commit each one whose remainder still
     # fits the optimum; each prefix test is exact, so the result is the
-    # lex-least optimal list of input indices.
+    # lex-least optimal list of input indices.  ``best`` stays an optimal
+    # packing that holds every committed set and no rejected one, so a set
+    # it holds passes with no search.
     chosen: list[int] = []
+    committed = 0
     for j in sorted(range(m), key=order.__getitem__):
         if len(chosen) == value:
             break
-        if not (cand >> j) & 1:
+        bit = 1 << j
+        if not cand & bit:
             continue
-        cand &= ~(1 << j)
+        cand &= ~bit
         rest = cand
         for u in sets[j]:
             rest &= ~covers[u]
-        need = value - len(chosen) - 1
-        if _pack_search(sets, covers, min_size, rest, need - 1, need, budget) >= need:
-            chosen.append(order[j])
-            cand = rest
+        if not best & bit:
+            need = value - len(chosen) - 1
+            found = _pack_search(sets, covers, min_size, rest, need - 1, need, budget)
+            if found is None:
+                continue
+            best = committed | bit | found
+        chosen.append(order[j])
+        committed |= bit
+        cand = rest
     if len(chosen) < value:
         raise ContractViolation("witness extraction failed to match the optimum")
     return value, chosen
@@ -335,29 +360,33 @@ def _hs_search(
     sets: Sequence[Sequence[int]],
     covers: Sequence[int],
     budget: _Budget,
-) -> int:
-    """Smallest hitting set of ``uncovered`` avoiding ``forbidden`` if below ``best``.
+) -> int | None:
+    """A smallest hitting set of ``uncovered`` avoiding ``forbidden``, as a
+    vertex mask, if it has fewer than ``best`` vertices.
 
-    The search stops at the first cover of at most ``target`` vertices.  With
-    ``best`` a known cover size and ``target = 0`` it finds the optimum; with
-    ``best = limit + 1`` and ``target = limit`` it decides whether ``limit``
-    vertices suffice.
+    Returns None when no such cover exists.  The search stops at the first
+    cover of at most ``target`` vertices.  With ``best`` a known cover size
+    and ``target = 0`` it finds the optimum; with ``best = limit + 1`` and
+    ``target = limit`` it decides whether ``limit`` vertices suffice and finds
+    such a cover.
     """
     if not uncovered:
         return 0
     if best <= 1:  # a nonempty family needs a vertex
-        return best
+        return None
+    found = None
     stack = [(uncovered, forbidden, 0)]
     while stack:
-        uncovered, forbidden, count = stack.pop()
+        uncovered, forbidden, picked = stack.pop()
         budget.spend()
+        count = picked.bit_count()
         if not uncovered:
             if count < best:
-                best = count
+                best, found = count, picked
                 if best <= target:
                     break
             continue
-        if count + _greedy_disjoint(uncovered, sets, covers) >= best:
+        if count + _greedy_disjoint(uncovered, sets, covers).bit_count() >= best:
             continue
         # The sets holding at least one (once) and two (twice) allowed
         # vertices; branch on the lowest set outside twice, else the lowest.
@@ -374,10 +403,10 @@ def _hs_search(
         acc = forbidden
         pending = []
         for v in allowed:
-            pending.append((uncovered & ~covers[v], acc, count + 1))
+            pending.append((uncovered & ~covers[v], acc, picked | 1 << v))
             acc |= 1 << v
         stack.extend(reversed(pending))
-    return best
+    return found
 
 
 def _cover(
@@ -390,15 +419,21 @@ def _cover(
     optimal sorted vertex list when ``want_witness``."""
     _, sets, covers = _number_sets(sets, n)
     all_mask = (1 << len(sets)) - 1
-    budget.lower = _greedy_disjoint(all_mask, sets, covers)
-    budget.upper = value = _greedy_cover(all_mask, covers)
+    budget.lower = _greedy_disjoint(all_mask, sets, covers).bit_count()
+    best = _greedy_cover(all_mask, covers)
+    budget.upper = best.bit_count()
     search = (sets, covers, budget)
-    if budget.lower < value:
-        value = _hs_search(all_mask, 0, value, 0, *search)
+    if budget.lower < budget.upper:
+        found = _hs_search(all_mask, 0, budget.upper, 0, *search)
+        if found is not None:
+            best = found  # an optimal cover
+    value = best.bit_count()
     if not want_witness:
         return value, None
     # Keep each vertex, in order, whose remainder still fits the optimum.
-    chosen: list[int] = []
+    # ``best`` stays an optimal cover that holds every kept vertex and no
+    # skipped one, so a vertex it holds is kept with no search.
+    kept = 0
     uncovered = all_mask
     for v in range(n):
         if not uncovered:
@@ -406,13 +441,18 @@ def _cover(
         rest = uncovered & ~covers[v]
         if rest == uncovered:
             continue
-        limit = value - len(chosen) - 1
-        if _hs_search(rest, (1 << (v + 1)) - 1, limit + 1, limit, *search) <= limit:
-            chosen.append(v)
-            uncovered = rest
+        bit = 1 << v
+        if not best & bit:
+            limit = value - kept.bit_count() - 1
+            found = _hs_search(rest, (bit << 1) - 1, limit + 1, limit, *search)
+            if found is None:
+                continue
+            best = kept | bit | found
+        kept |= bit
+        uncovered = rest
     if uncovered:
         raise ContractViolation("witness extraction failed to match the optimum")
-    return value, chosen
+    return value, [v for v in range(n) if kept >> v & 1]
 
 
 def _solve_gt(

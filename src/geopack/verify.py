@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import SUITE_NAMES
 from .errors import BudgetExceeded, DomainError, Unsupported
 from .formulas import diagonal_grid_packing, formula_value, rook_complement_set
 from .geodesics import enumerate_maximal_geodesics
@@ -24,8 +25,6 @@ from .solvers import (
     verify_np_reduction,
 )
 from .trees import gpack_tree, is_tree, random_tree, tree_from_pruefer
-
-SUITE_NAMES = ("formulas", "trees", "reduction", "grids", "all")
 
 _GRID_DIMS = (
     (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4),

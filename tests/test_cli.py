@@ -218,11 +218,12 @@ def test_time_budget_exit_three(capsys):
 
 
 def test_gpack_budget_exit_three(capsys):
-    # The root certifies the value, so the stop comes from witness extraction.
-    assert main(["compute", "--family", "rook:4", "--invariant", "gpack", "--node-budget", "1"]) == 3
+    # The greedy packing falls one short of n // 3 at the root, so the value
+    # search (10 nodes) stops at its second node.
+    assert main(["compute", "--family", "rook:5", "--invariant", "gpack", "--node-budget", "1"]) == 3
     assert capsys.readouterr().err == (
         "budget exceeded: gpack search stopped: search node budget exhausted"
-        " (bounds: lower=5, upper=5)\n"
+        " (bounds: lower=7, upper=8)\n"
     )
 
 

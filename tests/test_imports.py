@@ -36,3 +36,11 @@ def test_package_import_leaves_the_suites_unloaded():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "geopack.verify"]
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    # compute, enumerate and tree never run a suite, so they do not load them.
+    code = "import sys, geopack.cli; print('geopack.verify' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]

@@ -84,10 +84,16 @@ def test_gt_rook6_north_star():
 @pytest.mark.slow
 def test_gt_rook6_witness():
     # The lex-least witness is the 5 x 5 block of the first five rows and
-    # columns plus cell 35; value and witness take 131,121 nodes.
-    value, transversal = gp.gt_exact(gp.rook_graph(6), gp.SolveLimits(node_budget=140_000))
+    # columns plus cell 35; value and witness take about 53k nodes.
+    value, transversal = gp.gt_exact(gp.rook_graph(6), gp.SolveLimits(node_budget=60_000))
     block = tuple(6 * r + c for r in range(5) for c in range(5))
     assert value == 26 and transversal.vertices == block + (35,)
+
+
+def test_gt_witness_from_the_incumbent():
+    # A prefix test the optimal cover in hand already decides spends no
+    # nodes; value and witness take 4,121 nodes.
+    assert gp.gt_report(gp.rook_graph(5)).stats.nodes <= 4_500
 
 
 def test_gt_report_rook3():
@@ -261,8 +267,18 @@ def test_budget_exceeded_carries_bounds():
 
 def test_gpack_budget_exceeded():
     with pytest.raises(BudgetExceeded) as info:
-        gp.gpack_exact(gp.rook_graph(4), gp.SolveLimits(node_budget=1))
-    assert info.value.lower >= 1
+        gp.gpack_exact(gp.rook_graph(5), gp.SolveLimits(node_budget=1))
+    assert str(info.value) == "gpack search stopped: search node budget exhausted"
+    assert (info.value.lower, info.value.upper, info.value.nodes) == (7, 8, 2)
+
+
+def test_root_certified_gpack_witness_needs_no_search():
+    # The greedy packing meets n // 3 at the root and holds every set of the
+    # lex-least witness, so no prefix test searches.
+    limits = gp.SolveLimits(node_budget=1)
+    value, packing = gp.gpack_exact(gp.rook_graph(4), limits)
+    report = gp.gpack_report(gp.rook_graph(4), limits)
+    assert value == 5 and report.stats.nodes == 0 and report.witness == packing
 
 
 def test_time_budget_exceeded():

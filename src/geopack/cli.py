@@ -102,8 +102,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(catalog_to_json_dict(catalog))
     else:
-        for p in catalog.geodesics:
-            print(" ".join(map(str, p.vertices)))
+        for p in catalog.paths:
+            print(" ".join(map(str, p)))
         print(f"# count={catalog.count} complete={str(catalog.complete).lower()}")
     return 0 if catalog.complete else 3
 

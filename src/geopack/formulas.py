@@ -121,9 +121,9 @@ def rook_complement_set(n: int) -> tuple[int, ...]:
     chosen = {by_label[(0, j)] for j in range(n - 1)}
     chosen.update(by_label[(i, n - 1)] for i in range(1, n))
     catalog = enumerate_maximal_geodesics(g)
-    for p in catalog.geodesics:
-        if chosen.issuperset(p.vertices):
-            raise ContractViolation(f"complement set contains the geodesic {p.vertices}")
+    for p in catalog.paths:
+        if chosen.issuperset(p):
+            raise ContractViolation(f"complement set contains the geodesic {p}")
     return tuple(sorted(chosen))
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,22 +45,33 @@ class DistanceTable:
         return int(worst)
 
 
+def _bfs(adj: Sequence[Sequence[int]], source: int) -> tuple[list[float], list[int], int]:
+    """One BFS: the distance row, the reached vertices in BFS order (layer by
+    layer), and the mask of the sinks, the reached vertices with no neighbour
+    one layer further out."""
+    dist = [INF] * len(adj)
+    dist[source] = 0
+    order = [source]
+    sinks = 0
+    for x in order:  # the loop reaches the vertices appended as it runs
+        d1 = dist[x] + 1
+        sink = True
+        for y in adj[x]:
+            dy = dist[y]
+            if dy == INF:
+                dist[y] = d1
+                order.append(y)
+                sink = False
+            elif dy == d1:
+                sink = False
+        if sink:
+            sinks |= 1 << x
+    return dist, order, sinks
+
+
 def all_pairs_distances(g: Graph) -> DistanceTable:
     """BFS from every vertex."""
-    rows: list[tuple[float, ...]] = []
-    for source in range(g.n):
-        dist = [INF] * g.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in g.adj[u]:
-                if dist[w] == INF:
-                    dist[w] = du + 1
-                    queue.append(w)
-        rows.append(tuple(dist))
-    return DistanceTable(tuple(rows))
+    return DistanceTable(tuple(tuple(_bfs(g.adj, s)[0]) for s in range(g.n)))
 
 
 @dataclass(frozen=True)
@@ -92,17 +102,23 @@ class Geodesic:
 class GeodesicCatalog:
     """Deduplicated maximal geodesics of one graph, sorted lexicographically.
 
+    ``paths`` holds each entry as its vertex tuple in canonical orientation;
+    ``geodesics`` wraps them in ``Geodesic`` on every access.
     ``complete`` is False when the full catalog has more than ``cap`` entries,
     in which case the stored entries are its lexicographically first ``cap``.
     """
 
-    geodesics: tuple[Geodesic, ...]
+    paths: tuple[tuple[int, ...], ...]
     complete: bool
     cap: int
 
     @property
+    def geodesics(self) -> tuple[Geodesic, ...]:
+        return tuple(map(Geodesic, self.paths))
+
+    @property
     def count(self) -> int:
-        return len(self.geodesics)
+        return len(self.paths)
 
 
 def is_geodesic(g: Graph, path: Sequence[int], table: DistanceTable | None = None) -> bool:
@@ -149,44 +165,52 @@ def is_maximal_geodesic(
 def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCatalog:
     """Enumerate every maximal geodesic of ``g``, up to ``cap`` entries.
 
-    For each source u, the maximal partners v >= u (pairs that extend at
-    neither end) come from the distance rows, and one depth-first walk from u
-    lists the geodesics to them, lowest neighbour first.  The catalog comes
-    out sorted with no sort step, and the work is O(n*|E|) plus the size of
-    the output.  An isolated vertex u contributes the single-vertex geodesic
-    (u,).  If there are more than ``cap`` entries the catalog holds the
+    One BFS per source u gives its layers and its sinks: the reached vertices
+    with no neighbour one layer further from u.  A geodesic from u to v
+    extends past v exactly when v is not a sink of u, so (u, v) is a maximal
+    pair when v is a sink of u and u a sink of v; an isolated vertex is its
+    own sink and contributes the single-vertex geodesic (u,).  For each
+    source with partners v >= u, a reverse sweep of its layers keeps the
+    vertices on a geodesic to a partner, and one depth-first walk from u
+    lists the geodesics, lowest neighbour first.  The catalog comes out
+    sorted with no sort step, and the work is O(n*|E|) plus the size of the
+    output.  If there are more than ``cap`` entries the catalog holds the
     lexicographically first ``cap`` of them with ``complete=False``; callers
     that need exactness must treat that as an overflow.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     n, adj = g.n, g.adj
-    rows = all_pairs_distances(g).rows
-    # far[u][v] is the largest d(w, v) over neighbours w of u: the pair (u, v)
-    # extends past u exactly when far[u][v] > d(u, v).  An isolated vertex
-    # keeps its own row, which makes it its only partner.  Lists, because
-    # tuple(map(...)) grows by reallocation and left peak RSS about 0.5 MB
-    # higher after a few hundred small graphs.
-    far = [
-        list(map(max, rows[nbrs[0]], *(rows[w] for w in nbrs))) if nbrs else row
-        for nbrs, row in zip(adj, rows)
-    ]
-    found: list[Geodesic] = []
-    for u in range(n):
-        row, far_u = rows[u], far[u]
-        partners = [v for v in range(u, n) if far_u[v] <= row[v] >= far[v][u] and row[v] < INF]
-        if not partners:
-            continue
-        # Sweep u's BFS layers inward from the deepest partner, keeping each
-        # vertex with a kept neighbour one layer further out: the kept
+    # Sources in descending order, so the sinks of every v > u are known when
+    # u's partners are read off; only sources with partners keep their BFS.
+    sinks = [0] * n
+    sources = []
+    for u in reversed(range(n)):
+        dist, order, sinks[u] = _bfs(adj, u)
+        partners = set()
+        rest = sinks[u] >> u
+        while rest:
+            low = rest & -rest
+            v = u + low.bit_length() - 1
+            if sinks[v] >> u & 1:
+                partners.add(v)
+            rest ^= low
+        if partners:
+            sources.append((u, partners, dist, order))
+    paths: list[tuple[int, ...]] = []
+    for u, partners, dist, order in reversed(sources):
+        # Sweep u's layers from the outermost inward, keeping the partners and
+        # each vertex with a kept neighbour one layer further out: the kept
         # vertices are those on a geodesic from u to a partner.
-        succ: dict[int, Sequence[int]] = dict.fromkeys(partners, ())
-        depth = max(row[v] for v in partners)
-        for x in sorted([x for x in range(n) if row[x] < depth], key=row.__getitem__, reverse=True):
-            d1 = row[x] + 1
-            kids = [y for y in adj[x] if y in succ and row[y] == d1]
-            if kids:
-                succ[x] = kids
+        succ: dict[int, Sequence[int]] = {}
+        for x in reversed(order):
+            if x in partners:
+                succ[x] = ()
+            else:
+                d1 = dist[x] + 1
+                kids = [y for y in adj[x] if y in succ and dist[y] == d1]
+                if kids:
+                    succ[x] = kids
         # Depth first from u, lowest successor first: preorder is lexicographic
         # order, and every step lies on a geodesic the walk emits.  The root
         # level holds u alone and adds nothing to the path, so an isolated u
@@ -202,11 +226,11 @@ def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCat
             elif succ[y]:
                 path.append(y)
                 stack.append(iter(succ[y]))
-            elif len(found) == cap:
-                return GeodesicCatalog(tuple(found), False, cap)
+            elif len(paths) == cap:
+                return GeodesicCatalog(tuple(paths), False, cap)
             else:
-                found.append(Geodesic((*path, y)))
-    return GeodesicCatalog(tuple(found), True, cap)
+                paths.append((*path, y))
+    return GeodesicCatalog(tuple(paths), True, cap)
 
 
 def shortest_maximal_geodesic_length(catalog: GeodesicCatalog) -> int:
@@ -215,7 +239,7 @@ def shortest_maximal_geodesic_length(catalog: GeodesicCatalog) -> int:
         raise EnumerationOverflow("catalog is incomplete; raise the enumeration cap")
     if catalog.count == 0:
         raise DomainError("empty catalog has no shortest maximal geodesic")
-    return min(p.length for p in catalog.geodesics)
+    return min(map(len, catalog.paths)) - 1
 
 
 def is_uniform_geodesic(g: Graph, catalog: GeodesicCatalog) -> bool:
@@ -226,14 +250,14 @@ def is_uniform_geodesic(g: Graph, catalog: GeodesicCatalog) -> bool:
     if not catalog.complete:
         raise EnumerationOverflow("catalog is incomplete; raise the enumeration cap")
     diam = table.diameter()
-    return all(p.length == diam for p in catalog.geodesics)
+    return all(len(p) == diam + 1 for p in catalog.paths)
 
 
 def catalog_to_json_dict(catalog: GeodesicCatalog) -> dict:
     return {
         "complete": catalog.complete,
         "count": catalog.count,
-        "geodesics": [list(p.vertices) for p in catalog.geodesics],
+        "geodesics": [list(p) for p in catalog.paths],
     }
 
 

@@ -12,7 +12,9 @@ lowest vertex a candidate still holds.  ``_cover`` is a minimum hitting set
 left (read off the stars of the allowed vertices), else on the lowest
 uncovered set, a shortest one.  They share their greedy bounds, as
 gpack <= gt suggests: disjoint sets bound gt from below, and stars hitting
-every set bound gpack from above; each greedy returns what it picked.  Each
+every set bound gpack from above; each greedy returns what it picked.  The
+packing search also bounds a packing by its fractional relaxation: each live
+vertex holds at most 1 / (the size of its shortest candidate) of it.  Each
 search takes a starting bound and a stop target and returns the packing or
 cover it found, so one search finds the optimum and decides the prefix tests
 that build the witness.  The witness loop keeps an optimal solution that
@@ -25,6 +27,7 @@ the root greedy bounds as its certified bounds.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,7 +195,8 @@ def _greedy_cover(uncovered: int, stars: Sequence[int]) -> int:
 def _pack_search(
     sets: Sequence[Sequence[int]],
     covers: Sequence[int],
-    min_size: int,
+    weights: Sequence[int],
+    unit: int,
     cand: int,
     best: int,
     target: int,
@@ -207,7 +211,8 @@ def _pack_search(
     and finds such a packing.  Each node branches on its lowest live vertex v
     (one some candidate holds): every lower vertex is decided, so either one
     of the candidates through v, shortest first, joins the packing, or v
-    stays unused.
+    stays unused.  ``weights[j]`` is ``unit // len(sets[j])``, with ``unit``
+    the lcm of the set sizes.
     """
     found = None
     if best < 0:  # the empty packing always exists
@@ -228,15 +233,20 @@ def _pack_search(
         if cand.bit_count() <= slack:
             continue
         stars = []
+        spread = 0
         for u in range(lo, n):
             s = covers[u] & cand
             if s:
                 if not stars:
                     v = u
                 stars.append(s)
-        # A packed candidate spends min_size live vertices, and stars hitting
-        # every candidate each hold at most one packed candidate.
-        if len(stars) // min_size <= slack or _greedy_cover(cand, stars).bit_count() <= slack:
+                spread += weights[(s & -s).bit_length() - 1]
+        # Spread each packed candidate's weight of unit over its vertices: a
+        # live vertex u takes at most unit / (the size of the shortest
+        # candidate through u, its lowest star position), so the packing
+        # holds at most spread / unit candidates.  Stars hitting every
+        # candidate each hold at most one packed candidate.
+        if spread < (slack + 1) * unit or _greedy_cover(cand, stars).bit_count() <= slack:
             continue
         hold = stars[0]
         stack.append((cand & ~hold, packed, v + 1))
@@ -260,12 +270,13 @@ def _pack(
     least optimal list of set indices when ``want_witness``."""
     m = len(sets)
     order, sets, covers = _number_sets(sets, n)
-    min_size = len(sets[0]) if sets else 1
+    unit = math.lcm(*{len(s) for s in sets})
+    search = (sets, covers, [unit // len(s) for s in sets], unit)
     cand = (1 << m) - 1
     greedy = _greedy_disjoint(cand, sets, covers)
     budget.lower = greedy.bit_count()
-    budget.upper = n // min_size
-    found = _pack_search(sets, covers, min_size, cand, budget.lower, budget.upper, budget)
+    budget.upper = n // len(sets[0]) if sets else n
+    found = _pack_search(*search, cand, budget.lower, budget.upper, budget)
     best = greedy if found is None else found  # an optimal packing
     value = best.bit_count()
     if not want_witness:
@@ -289,7 +300,7 @@ def _pack(
             rest &= ~covers[u]
         if not best & bit:
             need = value - len(chosen) - 1
-            found = _pack_search(sets, covers, min_size, rest, need - 1, need, budget)
+            found = _pack_search(*search, rest, need - 1, need, budget)
             if found is None:
                 continue
             best = committed | bit | found
@@ -326,9 +337,9 @@ def _solve_gpack(
 ) -> SolveResult:
     started = time.monotonic()
     budget = _Budget("gpack search", limits)
-    geos = _catalog_for(g, limits, catalog).geodesics
-    value, idxs = _pack([p.vertices for p in geos], g.n, budget, want_witness)
-    witness = None if idxs is None else Packing(tuple(geos[i] for i in idxs))
+    paths = _catalog_for(g, limits, catalog).paths
+    value, idxs = _pack(paths, g.n, budget, want_witness)
+    witness = None if idxs is None else Packing(tuple(Geodesic(paths[i]) for i in idxs))
     return SolveResult(value, witness, _stats(budget, started))
 
 
@@ -464,8 +475,7 @@ def _solve_gt(
 ) -> SolveResult:
     started = time.monotonic()
     budget = _Budget("gt search", limits)
-    geos = _catalog_for(g, limits, catalog).geodesics
-    value, vertices = _cover([p.vertices for p in geos], g.n, budget, want_witness)
+    value, vertices = _cover(_catalog_for(g, limits, catalog).paths, g.n, budget, want_witness)
     witness = None if vertices is None else Transversal(tuple(vertices))
     return SolveResult(value, witness, _stats(budget, started))
 
@@ -536,11 +546,9 @@ def verify_np_reduction(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
         raise DomainError("reduction needs a nonempty graph")
     gp = derived_graph(g)
     catalog = _catalog_for(gp, limits, None)
-    for p in catalog.geodesics:
-        if p.length != 2:
-            raise ContractViolation(
-                f"derived graph has a maximal geodesic of length {p.length}: {p.vertices}"
-            )
+    for p in catalog.paths:
+        if len(p) != 3:
+            raise ContractViolation(f"derived graph has a maximal geodesic of length {len(p) - 1}: {p}")
     lhs = _solve_gpack(gp, limits, catalog=catalog, want_witness=False).value
     rhs = 1 + induced_p3_packing_exact(g, limits)
     return lhs == rhs

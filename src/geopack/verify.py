@@ -121,7 +121,7 @@ def suite_formulas(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
         free = set(rook_complement_set(n))
         transversal = set(range(g.n)) - free
         catalog = enumerate_maximal_geodesics(g, cap=limits.max_geodesics)
-        hits_all = all(transversal.intersection(p.vertices) for p in catalog.geodesics)
+        hits_all = all(transversal.intersection(p) for p in catalog.paths)
         want = formula_value(FamilySpec("rook", (n,)), "gt")
         results.append(
             _check(
@@ -194,7 +194,7 @@ def suite_grids(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
             _check(f"grid {dims}: explicit packing has size {want}", packing.size == want)
         )
         catalog = enumerate_maximal_geodesics(g, cap=limits.max_geodesics)
-        orders = {len(p.vertices) for p in catalog.geodesics}
+        orders = set(map(len, catalog.paths))
         results.append(
             _check(
                 f"grid {dims}: maximal geodesic orders within {sorted(set(dims))}",

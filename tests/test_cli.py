@@ -71,6 +71,29 @@ def test_enumerate_json(capsys):
     assert json.loads(out) == {"complete": True, "count": 1, "geodesics": [[0, 1, 2, 3, 4]]}
 
 
+# The catalog of diagonal_grid:3,4, as `enumerate --format json` lists it.
+GRID_3_4 = [
+    [0, 1, 2, 3], [0, 1, 2, 7], [0, 1, 6, 3], [0, 1, 6, 7], [0, 1, 6, 11], [0, 4, 8], [0, 4, 9],
+    [0, 5, 2, 3], [0, 5, 2, 7], [0, 5, 6, 3], [0, 5, 6, 7], [0, 5, 6, 11], [0, 5, 8], [0, 5, 9],
+    [0, 5, 10, 7], [0, 5, 10, 11], [1, 4, 8], [1, 4, 9], [1, 5, 8], [1, 5, 9], [1, 5, 10], [1, 6, 9],
+    [1, 6, 10], [2, 5, 9], [2, 5, 10], [2, 6, 9], [2, 6, 10], [2, 6, 11], [2, 7, 10], [2, 7, 11],
+    [3, 2, 1, 4], [3, 2, 5, 4], [3, 2, 5, 8], [3, 6, 1, 4], [3, 6, 5, 4], [3, 6, 5, 8], [3, 6, 9, 4],
+    [3, 6, 9, 8], [3, 6, 10], [3, 6, 11], [3, 7, 10], [3, 7, 11], [4, 1, 2, 7], [4, 1, 6, 7],
+    [4, 1, 6, 11], [4, 5, 2, 7], [4, 5, 6, 7], [4, 5, 6, 11], [4, 5, 10, 7], [4, 5, 10, 11],
+    [4, 9, 6, 7], [4, 9, 6, 11], [4, 9, 10, 7], [4, 9, 10, 11], [7, 2, 5, 8], [7, 6, 5, 8],
+    [7, 6, 9, 8], [7, 10, 5, 8], [7, 10, 9, 8], [8, 5, 6, 11], [8, 5, 10, 11], [8, 9, 6, 11],
+    [8, 9, 10, 11],
+]
+
+
+def test_enumerate_json_bytes(capsys):
+    code, out = run(capsys, "enumerate", "--family", "diagonal_grid:3,4", "--format", "json")
+    entries = ",\n".join("    [\n" + ",\n".join(f"      {v}" for v in p) + "\n    ]" for p in GRID_3_4)
+    head = '{\n  "complete": true,\n  "count": 63,\n  "geodesics": [\n'
+    assert code == 0 and out == head + entries + "\n  ]\n}\n"
+    assert len(out.encode()) == 2918
+
+
 def test_enumerate_cap_exit_code(capsys):
     code, out = run(capsys, "enumerate", "--family", "complete:5", "--cap", "3")
     assert code == 3 and "complete=false" in out

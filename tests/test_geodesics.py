@@ -145,6 +145,7 @@ def test_catalog_is_sorted_and_canonical():
     verts = [p.vertices for p in catalog.geodesics]
     assert verts == sorted(verts)
     assert all(p.vertices[0] <= p.vertices[-1] for p in catalog.geodesics)
+    assert catalog.paths == tuple(verts)
 
 
 def test_cap_truncates_catalog():
@@ -238,6 +239,8 @@ def test_catalog_matches_networkx_beyond_bruteforce():
     graphs = [gp.random_tree(60, random.Random(s)) for s in range(6)]
     graphs += [random_graph(24, 0.15, random.Random(s)) for s in range(6)]  # disconnected at times
     graphs.append(gp.diagonal_grid((5, 6)))
+    # A path's only partners are its ends; every vertex of an odd cycle has two sinks.
+    graphs += [gp.path_graph(200), gp.cycle_graph(201)]
     for g in graphs:
         catalog = gp.enumerate_maximal_geodesics(g)
         assert catalog.complete
@@ -247,7 +250,13 @@ def test_catalog_matches_networkx_beyond_bruteforce():
 @pytest.mark.slow
 def test_catalog_matches_networkx_on_a_large_tree():
     g = gp.random_tree(1000, random.Random(0))
-    assert [p.vertices for p in gp.enumerate_maximal_geodesics(g).geodesics] == nx_maximal_geodesics(g)
+    assert list(gp.enumerate_maximal_geodesics(g).paths) == nx_maximal_geodesics(g)
+
+
+@pytest.mark.slow
+def test_catalog_matches_networkx_on_a_benchmark_grid():
+    g = gp.diagonal_grid((7, 7))  # 6.8k maximal geodesics
+    assert list(gp.enumerate_maximal_geodesics(g).paths) == nx_maximal_geodesics(g)
 
 
 @given(graphs_st(max_n=7))

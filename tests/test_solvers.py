@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 
 import geopack as gp
 from geopack.errors import BudgetExceeded, ContractViolation, DomainError
+from geopack.verify import random_graph
 
 from conftest import graphs_st, trees_st
 from oracles import (
@@ -47,6 +49,29 @@ def test_gpack_thirteen_vertex_example_drops_after_smoothing():
 def test_gpack_on_a_large_root_certified_grid():
     # 81k maximal geodesics; the greedy packing meets n // 9 at the root.
     assert gp.gpack_value(gp.diagonal_grid((9, 9))) == 9
+
+
+def test_gpack_fractional_bound_on_a_sparse_random_graph():
+    # Each live vertex bounds the packing by 1 / (its shortest candidate's
+    # size); the vertex-count bound alone searched about 1.3M nodes here.
+    g = random_graph(30, 0.2, random.Random(2))
+    assert gp.gpack_value(g, gp.SolveLimits(node_budget=20_000)) == 8
+
+
+def test_solves_build_geodesics_only_for_the_witness(monkeypatch):
+    built = []
+    post_init = gp.Geodesic.__post_init__
+
+    def counting(self):
+        built.append(self.vertices)
+        post_init(self)
+
+    monkeypatch.setattr(gp.Geodesic, "__post_init__", counting)
+    g = gp.diagonal_grid((4, 4, 4))  # 13,468 maximal geodesics
+    assert gp.gpack_value(g) == 16 and gp.gt_value(gp.rook_graph(4)) == 10
+    assert built == []
+    value, packing = gp.gpack_exact(g)
+    assert value == 16 and built == [p.vertices for p in packing.geodesics]
 
 
 def test_gpack_witness_is_lexicographically_least():

@@ -192,10 +192,12 @@ def test_verify_trees_seeded(capsys):
 
 
 def test_verify_trees_budget_inconclusive(capsys):
+    # The root reduction settles gt on a tree in its root node, so under a
+    # one-node budget the first stop comes from the gpack search.
     code, out = run(capsys, "verify", "trees", "--n", "30", "--count", "2", "--node-budget", "1")
     assert code == 3
     assert out.splitlines() == [
-        f"INCONCLUSIVE tree {i} (n=30): gt search stopped: search node budget exhausted" for i in range(2)
+        f"INCONCLUSIVE tree {i} (n=30): gpack search stopped: search node budget exhausted" for i in range(2)
     ] + ["# 0/2 passed"]
 
 

@@ -140,6 +140,47 @@ def test_gt_witness_hits_everything():
         assert chosen.intersection(p.vertices)
 
 
+def test_gt_on_a_300_vertex_tree():
+    # The root reduction settles each search on this tree in its root node,
+    # so the general engine reaches gt = gpack(T); without it a 20 s budget
+    # ran out at bounds 41..53.
+    t = gp.random_tree(300, random.Random(1))
+    value, transversal = gp.gt_exact(t, gp.SolveLimits(node_budget=1_000))
+    assert value == gp.gpack_tree(t)[0] == 46
+    chosen = set(transversal.vertices)
+    assert len(chosen) == value
+    assert all(chosen.intersection(p) for p in gp.enumerate_maximal_geodesics(t).paths)
+
+
+@pytest.mark.slow
+def test_gt_on_a_1000_vertex_tree():
+    t = gp.random_tree(1000, random.Random(1))
+    assert gp.gt_value(t, gp.SolveLimits(time_budget=60)) == gp.gpack_tree(t)[0] == 161
+
+
+@pytest.mark.parametrize("spec, picked_without_0", [("path:5", 0b10), ("star:4", 0)])
+def test_reduce_forces_and_drops_the_higher_of_equal_stars(spec, picked_without_0):
+    # path:5 has one maximal geodesic, so its five stars are equal: only
+    # vertex 0 survives, and it is forced.  In star:4 the centre 0 dominates
+    # every leaf.  With vertex 0 forbidden the path forces vertex 1 and the
+    # star's leaves are left to the search; with every vertex forbidden
+    # nothing hits the sets.
+    g = gp.generate(gp.parse_family(spec))
+    _, sets, covers = gp.solvers._number_sets(gp.enumerate_maximal_geodesics(g).paths, g.n)
+    everything = (1 << len(sets)) - 1
+    assert gp.solvers._reduce(everything, 0, 0, sets, covers) == (0, 0b11111, 0b1)
+    assert gp.solvers._reduce(everything, 0b1, 0, sets, covers)[2] == picked_without_0
+    assert gp.solvers._reduce(everything, 0b11111, 0, sets, covers) is None
+
+
+def test_gt_witness_is_lex_least_on_small_trees(small_trees):
+    from oracles import brute_lex_least_hitting
+
+    for t in small_trees:
+        sets = [set(p) for p in gp.enumerate_maximal_geodesics(t).paths]
+        assert gp.gt_exact(t)[1].vertices == brute_lex_least_hitting(sets, t.n)
+
+
 def test_gt_isolated_vertices_are_forced():
     g = gp.Graph.from_edges(3, [(0, 1)])
     value, transversal = gp.gt_exact(g)

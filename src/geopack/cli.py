@@ -14,7 +14,7 @@ import sys
 
 from . import SUITE_NAMES
 from .errors import BudgetExceeded, DomainError, ParseError, SpecError
-from .geodesics import catalog_to_json_dict, enumerate_maximal_geodesics
+from .geodesics import catalog_to_json_dict, complete_catalog, enumerate_maximal_geodesics
 from .graphs import (
     FamilySpec,
     Graph,
@@ -27,7 +27,6 @@ from .graphs import (
 from .solvers import (
     DEFAULT_LIMITS,
     SolveLimits,
-    _catalog_for,
     _solve_gpack,
     _solve_gt,
     duality_check,
@@ -79,7 +78,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     limits = _limits(args)
     wanted = ["gpack", "gt"] if args.invariant == "both" else [args.invariant]
-    catalog = _catalog_for(g, limits, None)  # one enumeration serves both solves
+    catalog = complete_catalog(g, limits.max_geodesics)  # one enumeration serves both solves
     solve = {"gpack": _solve_gpack, "gt": _solve_gt}
     docs = [(inv, solve[inv](g, limits, catalog=catalog)) for inv in wanted]
     if args.format == "json":

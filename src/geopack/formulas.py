@@ -10,7 +10,7 @@ from .errors import ContractViolation, DomainError, Unsupported
 from .geodesics import (
     Geodesic,
     all_pairs_distances,
-    enumerate_maximal_geodesics,
+    complete_catalog,
     is_geodesic,
     is_maximal_geodesic,
     is_uniform_geodesic,
@@ -120,8 +120,7 @@ def rook_complement_set(n: int) -> tuple[int, ...]:
     by_label = g.label_index()
     chosen = {by_label[(0, j)] for j in range(n - 1)}
     chosen.update(by_label[(i, n - 1)] for i in range(1, n))
-    catalog = enumerate_maximal_geodesics(g)
-    for p in catalog.paths:
+    for p in complete_catalog(g).paths:
         if chosen.issuperset(p):
             raise ContractViolation(f"complement set contains the geodesic {p}")
     return tuple(sorted(chosen))
@@ -139,9 +138,9 @@ def uniform_product_bound(graphs: Sequence[Graph]) -> int:
     order = 1
     diam_sum = 0
     for g in graphs:
-        catalog = enumerate_maximal_geodesics(g)
+        catalog = complete_catalog(g)
         if not is_uniform_geodesic(g, catalog):
             raise DomainError("bound applies only to uniform geodesic factors")
         order *= g.n
-        diam_sum += all_pairs_distances(g).diameter()
+        diam_sum += len(catalog.paths[0]) - 1  # every entry is a diameter long
     return order // (diam_sum + 1)

@@ -175,8 +175,8 @@ def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCat
     lists the geodesics, lowest neighbour first.  The catalog comes out
     sorted with no sort step, and the work is O(n*|E|) plus the size of the
     output.  If there are more than ``cap`` entries the catalog holds the
-    lexicographically first ``cap`` of them with ``complete=False``; callers
-    that need exactness must treat that as an overflow.
+    lexicographically first ``cap`` of them with ``complete=False``;
+    ``complete_catalog`` refuses such a catalog.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -233,13 +233,29 @@ def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCat
     return GeodesicCatalog(tuple(paths), True, cap)
 
 
+def complete_catalog(
+    g: Graph | None, cap: int = DEFAULT_CAP, catalog: GeodesicCatalog | None = None
+) -> GeodesicCatalog:
+    """Every maximal geodesic: ``catalog`` if given, else ``g``'s, enumerated up to ``cap``.
+
+    gpack and gt are defined over the whole catalog, so every reader of it
+    comes here: a capped prefix raises ``EnumerationOverflow``, with the
+    bounds 0..n of both invariants when ``g`` is given.
+    """
+    if catalog is None:
+        catalog = enumerate_maximal_geodesics(g, cap)
+    if not catalog.complete:
+        bounds = {} if g is None else {"lower": 0, "upper": g.n}
+        raise EnumerationOverflow(f"maximal-geodesic catalog exceeded {catalog.cap} entries", **bounds)
+    return catalog
+
+
 def shortest_maximal_geodesic_length(catalog: GeodesicCatalog) -> int:
     """Minimum length over the full catalog."""
-    if not catalog.complete:
-        raise EnumerationOverflow("catalog is incomplete; raise the enumeration cap")
-    if catalog.count == 0:
+    paths = complete_catalog(None, catalog=catalog).paths
+    if not paths:
         raise DomainError("empty catalog has no shortest maximal geodesic")
-    return min(map(len, catalog.paths)) - 1
+    return min(map(len, paths)) - 1
 
 
 def is_uniform_geodesic(g: Graph, catalog: GeodesicCatalog) -> bool:
@@ -247,10 +263,8 @@ def is_uniform_geodesic(g: Graph, catalog: GeodesicCatalog) -> bool:
     table = all_pairs_distances(g)
     if g.n == 0 or not table.is_connected():
         raise DomainError("uniform-geodesic check needs a connected graph")
-    if not catalog.complete:
-        raise EnumerationOverflow("catalog is incomplete; raise the enumeration cap")
     diam = table.diameter()
-    return all(len(p) == diam + 1 for p in catalog.paths)
+    return all(len(p) == diam + 1 for p in complete_catalog(g, catalog=catalog).paths)
 
 
 def catalog_to_json_dict(catalog: GeodesicCatalog) -> dict:

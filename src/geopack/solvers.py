@@ -1,6 +1,7 @@
 """Exact solvers for geodesic packing (gpack) and geodesic transversal (gt).
 
-Both invariants run on one mask state over the maximal-geodesic catalog.
+Both invariants run on one mask state over the full maximal-geodesic
+catalog, which ``geodesics.complete_catalog`` refuses when capped.
 The entries are numbered once, shortest first with ties in catalog order,
 and the only masks are the stars: for each vertex, the mask of the entries
 through it, O(m*n) bits for m entries on n vertices.  Two twin engines take
@@ -39,20 +40,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    BudgetExceeded,
-    ContractViolation,
-    DomainError,
-    EnumerationOverflow,
-)
+from .errors import BudgetExceeded, ContractViolation, DomainError
 from .geodesics import (
     DEFAULT_CAP,
     Geodesic,
     GeodesicCatalog,
-    enumerate_maximal_geodesics,
+    complete_catalog,
     shortest_maximal_geodesic_length,
 )
 from .graphs import Graph, derived_graph
+from .trees import gpack_tree, is_tree
 
 
 @dataclass(frozen=True)
@@ -318,18 +315,6 @@ def _pack(
     return value, chosen
 
 
-def _catalog_for(g: Graph, limits: SolveLimits, catalog: GeodesicCatalog | None) -> GeodesicCatalog:
-    if catalog is None:
-        catalog = enumerate_maximal_geodesics(g, cap=limits.max_geodesics)
-    if not catalog.complete:
-        raise EnumerationOverflow(
-            f"maximal-geodesic catalog exceeded {catalog.cap} entries",
-            lower=0,
-            upper=g.n,
-        )
-    return catalog
-
-
 def _stats(budget: _Budget, started: float) -> SolveStats:
     return SolveStats(budget.nodes, int((time.monotonic() - started) * 1000))
 
@@ -343,7 +328,7 @@ def _solve_gpack(
 ) -> SolveResult:
     started = time.monotonic()
     budget = _Budget("gpack search", limits)
-    paths = _catalog_for(g, limits, catalog).paths
+    paths = complete_catalog(g, limits.max_geodesics, catalog).paths
     value, idxs = _pack(paths, g.n, budget, want_witness)
     witness = None if idxs is None else Packing(tuple(Geodesic(paths[i]) for i in idxs))
     return SolveResult(value, witness, _stats(budget, started))
@@ -562,7 +547,8 @@ def _solve_gt(
 ) -> SolveResult:
     started = time.monotonic()
     budget = _Budget("gt search", limits)
-    value, vertices = _cover(_catalog_for(g, limits, catalog).paths, g.n, budget, want_witness)
+    paths = complete_catalog(g, limits.max_geodesics, catalog).paths
+    value, vertices = _cover(paths, g.n, budget, want_witness)
     witness = None if vertices is None else Transversal(tuple(vertices))
     return SolveResult(value, witness, _stats(budget, started))
 
@@ -594,7 +580,7 @@ def gpack_upper_bound(g: Graph, catalog: GeodesicCatalog) -> int:
 
 def duality_check(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> DualityReport:
     """Both invariants plus the exact rational gt/gpack."""
-    catalog = _catalog_for(g, limits, None)
+    catalog = complete_catalog(g, limits.max_geodesics)
     gpack = _solve_gpack(g, limits, catalog=catalog, want_witness=False).value
     gt = _solve_gt(g, limits, catalog=catalog, want_witness=False).value
     if gpack > gt:
@@ -602,6 +588,17 @@ def duality_check(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> DualityRepo
     if gpack == 0:
         raise DomainError("gt/gpack ratio undefined for the empty graph")
     return DualityReport(gpack, gt, Fraction(gt, gpack))
+
+
+def verify_tree_equality(t: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
+    """Tree algorithm vs. exact transversal, cross-checked against exact packing
+    solved from the same catalog."""
+    if not is_tree(t):
+        raise DomainError("equality check needs a tree")
+    value, _ = gpack_tree(t)
+    catalog = complete_catalog(t, limits.max_geodesics)
+    gt = _solve_gt(t, limits, catalog=catalog, want_witness=False).value
+    return value == gt == _solve_gpack(t, limits, catalog=catalog, want_witness=False).value
 
 
 def _induced_p3_paths(g: Graph) -> list[tuple[int, int, int]]:
@@ -632,7 +629,7 @@ def verify_np_reduction(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
     if g.n == 0:
         raise DomainError("reduction needs a nonempty graph")
     gp = derived_graph(g)
-    catalog = _catalog_for(gp, limits, None)
+    catalog = complete_catalog(gp, limits.max_geodesics)
     for p in catalog.paths:
         if len(p) != 3:
             raise ContractViolation(f"derived graph has a maximal geodesic of length {len(p) - 1}: {p}")

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import SUITE_NAMES
-from .errors import BudgetExceeded, DomainError, Unsupported
+from .errors import BudgetExceeded, Unsupported
 from .formulas import diagonal_grid_packing, formula_value, rook_complement_set
-from .geodesics import enumerate_maximal_geodesics
+from .geodesics import complete_catalog
 from .graphs import FamilySpec, Graph, diagonal_grid, generate, rook_graph
 from .solvers import (
     DEFAULT_LIMITS,
@@ -23,8 +23,9 @@ from .solvers import (
     gpack_value,
     gt_value,
     verify_np_reduction,
+    verify_tree_equality,
 )
-from .trees import gpack_tree, is_tree, random_tree, tree_from_pruefer
+from .trees import random_tree, tree_from_pruefer
 
 _GRID_DIMS = (
     (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4),
@@ -120,7 +121,7 @@ def suite_formulas(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
         g = rook_graph(n)
         free = set(rook_complement_set(n))
         transversal = set(range(g.n)) - free
-        catalog = enumerate_maximal_geodesics(g, cap=limits.max_geodesics)
+        catalog = complete_catalog(g, limits.max_geodesics)
         hits_all = all(transversal.intersection(p) for p in catalog.paths)
         want = formula_value(FamilySpec("rook", (n,)), "gt")
         results.append(
@@ -131,14 +132,6 @@ def suite_formulas(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
             )
         )
     return results
-
-
-def verify_tree_equality(t: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
-    """Tree algorithm vs. exact transversal, cross-checked against exact packing."""
-    if not is_tree(t):
-        raise DomainError("equality check needs a tree")
-    value, _ = gpack_tree(t)
-    return value == gt_value(t, limits) == gpack_value(t, limits)
 
 
 def suite_trees(
@@ -193,7 +186,7 @@ def suite_grids(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
         results.append(
             _check(f"grid {dims}: explicit packing has size {want}", packing.size == want)
         )
-        catalog = enumerate_maximal_geodesics(g, cap=limits.max_geodesics)
+        catalog = complete_catalog(g, limits.max_geodesics)
         orders = set(map(len, catalog.paths))
         results.append(
             _check(

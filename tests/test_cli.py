@@ -23,18 +23,18 @@ def test_compute_both_text(capsys):
 
 
 def test_compute_both_enumerates_once(capsys, monkeypatch):
-    import geopack.solvers
+    import geopack.geodesics
 
     argv = ("compute", "--family", "rook:3", "--format", "json")
     single = [json.loads(run(capsys, *argv, "--invariant", inv)[1]) for inv in ("gpack", "gt")]
     calls = []
-    enumerate_once = geopack.solvers.enumerate_maximal_geodesics
+    enumerate_once = geopack.geodesics.enumerate_maximal_geodesics
 
     def counting(*args, **kwargs):
         calls.append(args)
         return enumerate_once(*args, **kwargs)
 
-    monkeypatch.setattr(geopack.solvers, "enumerate_maximal_geodesics", counting)
+    monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", counting)
     code, out = run(capsys, *argv, "--invariant", "both")
     assert code == 0 and len(calls) == 1
     assert out == json.dumps(single, indent=2) + "\n"
@@ -240,6 +240,14 @@ def test_time_budget_exit_three(capsys):
         "budget exceeded: gt search stopped: time budget exhausted"
         " (bounds: lower=7, upper=19)\n"
     )
+
+
+def test_compute_cap_overflow_exit_three(capsys):
+    # rook:3 has 36 maximal geodesics; no solve reads a capped prefix.
+    assert main(["compute", "--family", "rook:3", "--cap", "10", "--invariant", "gt", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: maximal-geodesic catalog exceeded 10 entries (bounds: lower=0, upper=9)\n"
 
 
 def test_gpack_budget_exit_three(capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import geopack as gp
-from geopack.errors import DomainError, Unsupported
+from geopack.errors import DomainError, EnumerationOverflow, Unsupported
 
 
 def spec(kind: str, *params: int) -> gp.FamilySpec:
@@ -144,6 +144,12 @@ def test_rook_complement_complement_is_optimal():
 def test_rook_complement_requires_two():
     with pytest.raises(DomainError):
         gp.rook_complement_set(1)
+
+
+def test_rook_complement_refuses_a_capped_catalog():
+    # rook:19 has 116,964 maximal geodesics; checking the first 100,000 proves nothing.
+    with pytest.raises(EnumerationOverflow, match="catalog exceeded 100000 entries"):
+        gp.rook_complement_set(19)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,21 @@ def test_cap_truncates_catalog():
         gp.shortest_maximal_geodesic_length(catalog)
 
 
+def test_complete_catalog_refuses_a_capped_prefix():
+    g = gp.complete_graph(5)
+    full = gp.complete_catalog(g)
+    assert gp.complete_catalog(g, catalog=full) is full and full.count == 10
+    capped = gp.enumerate_maximal_geodesics(g, cap=4)
+    for read, bounds in (
+        (lambda: gp.complete_catalog(g, 4), (0, 5)),
+        (lambda: gp.is_uniform_geodesic(g, capped), (0, 5)),
+        (lambda: gp.shortest_maximal_geodesic_length(capped), (None, None)),
+    ):
+        with pytest.raises(EnumerationOverflow, match="^maximal-geodesic catalog exceeded 4 entries$") as info:
+            read()
+        assert (info.value.lower, info.value.upper) == bounds
+
+
 def test_cap_boundary_exact_fit():
     catalog = gp.enumerate_maximal_geodesics(gp.complete_graph(4), cap=6)
     assert catalog.complete and catalog.count == 6

@@ -31,11 +31,27 @@ def test_tree_oracle_imports_no_solver():
     assert relative == {"graphs", "errors"}
 
 
+def test_only_one_function_refuses_a_capped_catalog():
+    # Every reader of the whole catalog goes through geodesics.complete_catalog.
+    raisers = []
+    for path in sorted(SRC.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(module):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(exc).split(".")[-1] == "EnumerationOverflow":
+                owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                raisers.append((path.name, owners[-1] if owners else None))
+    assert raisers == [("geodesics.py", "complete_catalog")]
+
+
 def test_package_import_leaves_the_suites_unloaded():
     code = "import sys, geopack; print('geopack.verify' in sys.modules, geopack.verify_tree_equality.__module__)"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "geopack.verify"]
+    assert out.split() == ["False", "geopack.solvers"]
 
 
 def test_cli_import_leaves_the_suites_unloaded():

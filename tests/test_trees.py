@@ -184,6 +184,21 @@ def test_equality_check_on_random_trees():
         assert gp.verify_tree_equality(gp.random_tree(n, rng))
 
 
+def test_equality_check_enumerates_once(monkeypatch):
+    import geopack.geodesics
+
+    calls = []
+    enumerate_once = geopack.geodesics.enumerate_maximal_geodesics
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_once(*args, **kwargs)
+
+    monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", counting)
+    assert gp.verify_tree_equality(gp.random_tree(30, random.Random(7)))
+    assert len(calls) == 1
+
+
 def test_equality_check_rejects_non_tree():
     with pytest.raises(DomainError):
         gp.verify_tree_equality(gp.cycle_graph(5))

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: compute, enumerate, generate, verify, ratio, tree.  Exit codes:
-0 success, 1 verification failure, 2 input error, 3 budget exceeded.
+0 success, 1 verification failure (even beside a budget stop), 2 input
+error, 3 budget exceeded.
 JSON output is byte-deterministic for a fixed input and seed (timings are
 suppressed there; text mode reports them).
 """
@@ -148,9 +149,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"FAIL {item.label}: {item.detail}")
     passed = sum(1 for item in results if item.passed)
     print(f"# {passed}/{len(results)} passed")
-    if inconclusive:
-        return 3
-    return 0 if failures == 0 else 1
+    if failures:
+        return 1
+    return 3 if inconclusive else 0
 
 
 _RATIO_FAMILIES = ("rook", "complete", "complete_bipartite")

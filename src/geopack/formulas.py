@@ -9,9 +9,7 @@ from typing import Sequence
 from .errors import ContractViolation, DomainError, Unsupported
 from .geodesics import (
     Geodesic,
-    all_pairs_distances,
     complete_catalog,
-    is_geodesic,
     is_maximal_geodesic,
     is_uniform_geodesic,
 )
@@ -90,14 +88,12 @@ def diagonal_grid_packing(dims: Sequence[int]) -> Packing:
         raise DomainError("diagonal-grid packing needs r >= 2 and all dims >= 2")
     grid = diagonal_grid(dims)
     by_label = grid.label_index()
-    table = all_pairs_distances(grid)
     members: list[Geodesic] = []
     used: set[int] = set()
     for combo in iter_product(*(range(d) for d in dims[1:])):
         verts = tuple(by_label[(i,) + combo] for i in range(dims[0]))
-        if not is_geodesic(grid, verts, table):
-            raise ContractViolation(f"grid column {combo} is not a geodesic")
-        if not is_maximal_geodesic(grid, verts, table):
+        # Raises ContractViolation when the column is not a geodesic.
+        if not is_maximal_geodesic(grid, verts):
             raise ContractViolation(f"grid column {combo} is not maximal")
         if used.intersection(verts):
             raise ContractViolation("grid columns overlap")

@@ -15,36 +15,6 @@ DEFAULT_CAP = 100_000
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class DistanceTable:
-    """All-pairs hop distances; unreachable pairs hold ``math.inf``."""
-
-    rows: tuple[tuple[float, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def dist(self, u: int, v: int) -> float:
-        return self.rows[u][v]
-
-    def is_connected(self) -> bool:
-        return all(d < INF for row in self.rows for d in row)
-
-    def diameter(self) -> int:
-        """Largest distance; raises DomainError when disconnected or empty."""
-        if self.n == 0:
-            raise DomainError("diameter of the empty graph is undefined")
-        worst = 0.0
-        for row in self.rows:
-            for d in row:
-                if d == INF:
-                    raise DomainError("diameter undefined for a disconnected graph")
-                if d > worst:
-                    worst = d
-        return int(worst)
-
-
 def _bfs(adj: Sequence[Sequence[int]], source: int) -> tuple[list[float], list[int], int]:
     """One BFS: the distance row, the reached vertices in BFS order (layer by
     layer), and the mask of the sinks, the reached vertices with no neighbour
@@ -69,9 +39,9 @@ def _bfs(adj: Sequence[Sequence[int]], source: int) -> tuple[list[float], list[i
     return dist, order, sinks
 
 
-def all_pairs_distances(g: Graph) -> DistanceTable:
-    """BFS from every vertex."""
-    return DistanceTable(tuple(tuple(_bfs(g.adj, s)[0]) for s in range(g.n)))
+def all_pairs_distances(g: Graph) -> tuple[tuple[float, ...], ...]:
+    """The BFS distance row of every vertex; unreachable pairs hold ``math.inf``."""
+    return tuple(tuple(_bfs(g.adj, s)[0]) for s in range(g.n))
 
 
 @dataclass(frozen=True)
@@ -121,45 +91,43 @@ class GeodesicCatalog:
         return len(self.paths)
 
 
-def is_geodesic(g: Graph, path: Sequence[int], table: DistanceTable | None = None) -> bool:
+def _geodesic_sinks(g: Graph, verts: tuple[int, ...]) -> int | None:
+    """The sinks of the BFS from ``verts[0]``, or None unless ``verts`` is a geodesic."""
+    if not verts:
+        return None
+    if any(not (0 <= v < g.n) for v in verts):
+        return None
+    if len(set(verts)) != len(verts):
+        return None
+    for a, b in zip(verts, verts[1:]):
+        if not g.has_edge(a, b):
+            return None
+    dist, _, sinks = _bfs(g.adj, verts[0])
+    return sinks if dist[verts[-1]] == len(verts) - 1 else None
+
+
+def is_geodesic(g: Graph, path: Sequence[int]) -> bool:
     """True iff ``path`` is a walk of distinct adjacent vertices of shortest length.
 
     Ill-formed sequences (repeats, non-adjacent steps, unknown ids) return
     False rather than raising.
     """
-    verts = tuple(path)
-    if not verts:
-        return False
-    if any(not (0 <= v < g.n) for v in verts):
-        return False
-    if len(set(verts)) != len(verts):
-        return False
-    for a, b in zip(verts, verts[1:]):
-        if not g.has_edge(a, b):
-            return False
-    if table is None:
-        table = all_pairs_distances(g)
-    return len(verts) - 1 == table.dist(verts[0], verts[-1])
+    return _geodesic_sinks(g, tuple(path)) is not None
 
 
-def is_maximal_geodesic(
-    g: Graph,
-    p: Geodesic | Sequence[int],
-    table: DistanceTable | None = None,
-) -> bool:
-    """True iff no one-vertex extension of ``p`` at either end is a geodesic."""
+def is_maximal_geodesic(g: Graph, p: Geodesic | Sequence[int]) -> bool:
+    """True iff no one-vertex extension of ``p`` at either end is a geodesic.
+
+    The enumerator's rule: a geodesic from u to v extends past v exactly when
+    v is not a sink of u's BFS, so ``p`` is maximal when v is a sink of u and
+    u a sink of v.  At most two BFS per call.
+    """
     verts = tuple(p.vertices) if isinstance(p, Geodesic) else tuple(p)
-    if table is None:
-        table = all_pairs_distances(g)
-    if not is_geodesic(g, verts, table):
+    sinks = _geodesic_sinks(g, verts)
+    if sinks is None:
         raise ContractViolation(f"sequence {verts!r} is not a geodesic")
-    # One-step extensions only involve the endpoints and the pair distance,
-    # so maximality is shared by every geodesic between them.  An extension
-    # is a geodesic when its ends lie len(verts) apart.
-    u, v, ext = verts[0], verts[-1], len(verts)
-    return all(table.dist(w, v) != ext for w in g.adj[u]) and all(
-        table.dist(u, w) != ext for w in g.adj[v]
-    )
+    u, v = verts[0], verts[-1]
+    return bool(sinks >> v & 1) and bool(_bfs(g.adj, v)[2] >> u & 1)
 
 
 def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCatalog:
@@ -259,12 +227,14 @@ def shortest_maximal_geodesic_length(catalog: GeodesicCatalog) -> int:
 
 
 def is_uniform_geodesic(g: Graph, catalog: GeodesicCatalog) -> bool:
-    """True iff every maximal geodesic length equals the diameter."""
-    table = all_pairs_distances(g)
-    if g.n == 0 or not table.is_connected():
+    """True iff every maximal geodesic length equals the diameter.
+
+    A diametral pair cannot extend, so the longest maximal geodesic is a
+    diameter long, and the catalog is uniform iff its entries share one length.
+    """
+    if g.n == 0 or len(_bfs(g.adj, 0)[1]) < g.n:
         raise DomainError("uniform-geodesic check needs a connected graph")
-    diam = table.diameter()
-    return all(len(p) == diam + 1 for p in complete_catalog(g, catalog=catalog).paths)
+    return len(set(map(len, complete_catalog(g, catalog=catalog).paths))) == 1
 
 
 def catalog_to_json_dict(catalog: GeodesicCatalog) -> dict:

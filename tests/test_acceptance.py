@@ -188,10 +188,9 @@ def test_criterion_08_diagonal_grids():
             assert gp.gpack_value(g, limits) == expected
             packing = gp.diagonal_grid_packing(dims)
             assert packing.size == expected
-            table = gp.all_pairs_distances(g)
             used: set[int] = set()
             for p in packing.geodesics:
-                assert gp.is_maximal_geodesic(g, p, table)
+                assert gp.is_maximal_geodesic(g, p)
                 assert not used.intersection(p.vertices)
                 used.update(p.vertices)
             catalog = gp.enumerate_maximal_geodesics(g)

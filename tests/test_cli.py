@@ -201,6 +201,19 @@ def test_verify_trees_budget_inconclusive(capsys):
     ] + ["# 0/2 passed"]
 
 
+def test_verify_failure_wins_over_inconclusive(capsys, monkeypatch):
+    import geopack.verify
+    from geopack.verify import CheckResult
+
+    def mixed(*args, **kwargs):
+        return [CheckResult("a", False, "wrong"), CheckResult("b", None, "stopped")]
+
+    monkeypatch.setattr(geopack.verify, "run_suite", mixed)
+    code, out = run(capsys, "verify", "trees")
+    assert code == 1
+    assert out.splitlines() == ["FAIL a: wrong", "INCONCLUSIVE b: stopped", "# 0/2 passed"]
+
+
 def test_verify_reduction_seeded(capsys):
     code, out = run(capsys, "verify", "reduction", "--n", "8", "--count", "5", "--seed", "7")
     assert code == 0 and out.count("PASS") == 5

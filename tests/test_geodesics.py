@@ -12,7 +12,7 @@ from geopack.errors import ContractViolation, DomainError, EnumerationOverflow
 from geopack.verify import random_graph
 
 from conftest import graphs_st
-from oracles import nx_maximal_geodesics, oracle_maximal_geodesics
+from oracles import all_simple_paths, bfs_distances, nx_maximal_geodesics, oracle_maximal_geodesics
 
 
 def catalog_tuples(g: gp.Graph, cap: int = 100_000) -> set[tuple[int, ...]]:
@@ -24,35 +24,32 @@ def catalog_tuples(g: gp.Graph, cap: int = 100_000) -> set[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 def test_path_end_distance():
-    table = gp.all_pairs_distances(gp.path_graph(4))
-    assert table.dist(0, 3) == 3
+    rows = gp.all_pairs_distances(gp.path_graph(4))
+    assert rows[0][3] == 3
 
 
 def test_rook_distances_bounded_by_two():
-    table = gp.all_pairs_distances(gp.rook_graph(3))
-    offdiag = [table.dist(u, v) for u in range(9) for v in range(9) if u != v]
+    rows = gp.all_pairs_distances(gp.rook_graph(3))
+    offdiag = [rows[u][v] for u in range(9) for v in range(9) if u != v]
     assert set(offdiag) == {1, 2}
-    assert table.diameter() == 2
+    assert max(map(max, rows)) == 2
 
 
 def test_disconnected_distance_is_infinite():
     g = gp.Graph.from_edges(4, [(0, 1), (2, 3)])
-    table = gp.all_pairs_distances(g)
-    assert table.dist(0, 2) == math.inf
-    assert not table.is_connected()
-    with pytest.raises(DomainError):
-        table.diameter()
+    rows = gp.all_pairs_distances(g)
+    assert rows[0][2] == math.inf
 
 
 @given(graphs_st(max_n=7))
 def test_distance_table_axioms(g):
-    table = gp.all_pairs_distances(g)
+    rows = gp.all_pairs_distances(g)
     for u in range(g.n):
-        assert table.dist(u, u) == 0
+        assert rows[u][u] == 0
         for v in range(g.n):
-            assert table.dist(u, v) == table.dist(v, u)
+            assert rows[u][v] == rows[v][u]
             for w in range(g.n):
-                assert table.dist(u, w) <= table.dist(u, v) + table.dist(v, w)
+                assert rows[u][w] <= rows[u][v] + rows[v][w]
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +97,18 @@ def test_bipartite_cross_paths_are_maximal():
 def test_maximality_requires_a_geodesic():
     with pytest.raises(ContractViolation):
         gp.is_maximal_geodesic(gp.cycle_graph(4), gp.Geodesic((0, 1, 2, 3)))
+
+
+@given(graphs_st(max_n=6))
+def test_maximality_matches_the_containment_definition(g):
+    # Every geodesic, maximal or not, in both orientations: the predicate's
+    # sink rule against the oracle's "contained in no longer geodesic".
+    maximal = oracle_maximal_geodesics(g)
+    dist = [bfs_distances(g, v) for v in range(g.n)]
+    for p in all_simple_paths(g):
+        if dist[p[0]].get(p[-1]) == len(p) - 1:
+            assert gp.is_maximal_geodesic(g, p) == (p in maximal)
+            assert gp.is_maximal_geodesic(g, p[::-1]) == (p in maximal)
 
 
 def test_geodesic_canonical_orientation():
@@ -228,6 +237,15 @@ def test_uniform_needs_connected():
     g = gp.Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DomainError):
         gp.is_uniform_geodesic(g, gp.enumerate_maximal_geodesics(g))
+    empty = gp.Graph.from_edges(0, [])
+    with pytest.raises(DomainError):
+        gp.is_uniform_geodesic(empty, gp.enumerate_maximal_geodesics(empty))
+    # Connectivity is checked before completeness: a capped catalog of a
+    # disconnected graph is a DomainError, not an EnumerationOverflow.
+    capped = gp.enumerate_maximal_geodesics(g, cap=1)
+    assert not capped.complete
+    with pytest.raises(DomainError):
+        gp.is_uniform_geodesic(g, capped)
 
 
 @given(graphs_st(min_n=2, max_n=5, connected=True), graphs_st(min_n=2, max_n=5, connected=True))
@@ -277,15 +295,15 @@ def test_catalog_matches_networkx_on_a_benchmark_grid():
 @given(graphs_st(max_n=7))
 @settings(max_examples=30)
 def test_enumerated_geodesics_have_no_extension(g):
-    table = gp.all_pairs_distances(g)
+    rows = gp.all_pairs_distances(g)
     for p in gp.enumerate_maximal_geodesics(g).geodesics:
-        assert gp.is_geodesic(g, p.vertices, table)
-        assert gp.is_maximal_geodesic(g, p, table)
+        assert gp.is_geodesic(g, p.vertices)
+        assert gp.is_maximal_geodesic(g, p)
         first, last = p.vertices[0], p.vertices[-1]
         for w in g.adj[first]:
-            assert table.dist(w, last) <= p.length
+            assert rows[w][last] <= p.length
         for w in g.adj[last]:
-            assert table.dist(first, w) <= p.length
+            assert rows[first][w] <= p.length
 
 
 def test_catalog_json_shape():

@@ -47,6 +47,17 @@ def test_only_one_function_refuses_a_capped_catalog():
     assert raisers == [("geodesics.py", "complete_catalog")]
 
 
+def test_no_library_path_builds_all_pairs_distances():
+    # Distance facts come from one BFS per query (geodesics._bfs); the n-BFS
+    # table is for callers outside the library.
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "all_pairs_distances":
+                calls.append((path.name, node.lineno))
+    assert calls == []
+
+
 def test_package_import_leaves_the_suites_unloaded():
     code = "import sys, geopack; print('geopack.verify' in sys.modules, geopack.verify_tree_equality.__module__)"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}

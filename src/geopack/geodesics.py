@@ -39,6 +39,48 @@ def _bfs(adj: Sequence[Sequence[int]], source: int) -> tuple[list[float], list[i
     return dist, order, sinks
 
 
+def _cut_vertices(adj: Sequence[Sequence[int]]) -> int:
+    """The mask of the cut vertices, from one iterative lowpoint DFS, O(n + |E|).
+
+    A non-root v is a cut vertex when some DFS child's subtree reaches no
+    vertex discovered before v; a root when it has two DFS children.
+    """
+    n = len(adj)
+    disc = [0] * n  # discovery number, from 1; 0 while undiscovered
+    low = [0] * n
+    cut = 0
+    clock = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        children = 0
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            x, parent, nbrs = stack[-1]
+            for y in nbrs:
+                if not disc[y]:
+                    clock += 1
+                    disc[y] = low[y] = clock
+                    stack.append((y, x, iter(adj[y])))
+                    break
+                if y != parent and disc[y] < low[x]:
+                    low[x] = disc[y]
+            else:
+                stack.pop()
+                if parent == root:
+                    children += 1
+                elif parent >= 0:
+                    if low[x] >= disc[parent]:
+                        cut |= 1 << parent
+                    if low[x] < low[parent]:
+                        low[parent] = low[x]
+        if children >= 2:
+            cut |= 1 << root
+    return cut
+
+
 def all_pairs_distances(g: Graph) -> tuple[tuple[float, ...], ...]:
     """The BFS distance row of every vertex; unreachable pairs hold ``math.inf``."""
     return tuple(tuple(_bfs(g.adj, s)[0]) for s in range(g.n))
@@ -137,23 +179,32 @@ def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCat
     with no neighbour one layer further from u.  A geodesic from u to v
     extends past v exactly when v is not a sink of u, so (u, v) is a maximal
     pair when v is a sink of u and u a sink of v; an isolated vertex is its
-    own sink and contributes the single-vertex geodesic (u,).  For each
-    source with partners v >= u, a reverse sweep of its layers keeps the
-    vertices on a geodesic to a partner, and one depth-first walk from u
-    lists the geodesics, lowest neighbour first.  The catalog comes out
-    sorted with no sort step, and the work is O(n*|E|) plus the size of the
-    output.  If there are more than ``cap`` entries the catalog holds the
-    lexicographically first ``cap`` of them with ``complete=False``;
-    ``complete_catalog`` refuses such a catalog.
+    own sink and contributes the single-vertex geodesic (u,).  A cut vertex
+    is a sink of no BFS, so only the k vertices that are not cut vertices
+    (in a tree, the leaves) are sources.  For each source with partners
+    v >= u, a reverse sweep of its layers keeps the vertices on a geodesic
+    to a partner, and one depth-first walk from u lists the geodesics,
+    lowest neighbour first.  The catalog comes out sorted with no sort step,
+    and the work is O(k*|E|) plus the size of the output, after one
+    lowpoint DFS for the cut vertices.  If there are more than ``cap``
+    entries the catalog holds the lexicographically first ``cap`` of them
+    with ``complete=False``; ``complete_catalog`` refuses such a catalog.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     n, adj = g.n, g.adj
     # Sources in descending order, so the sinks of every v > u are known when
     # u's partners are read off; only sources with partners keep their BFS.
+    # A cut vertex c is never a sink: some part of the graph cut off by c
+    # misses the source, and c's neighbour there is one layer further out,
+    # since every path to it passes c.  So c ends no maximal geodesic and
+    # runs no BFS.
+    cut = _cut_vertices(adj)
     sinks = [0] * n
     sources = []
     for u in reversed(range(n)):
+        if cut >> u & 1:
+            continue
         dist, order, sinks[u] = _bfs(adj, u)
         partners = set()
         rest = sinks[u] >> u

@@ -10,16 +10,22 @@ optimal witness.  ``_pack`` packs pairwise disjoint sets (gpack, and the
 induced-P3 packing of the NP-completeness reduction), branching on the
 lowest vertex a candidate still holds.  ``_cover`` is a minimum hitting set
 (gt), branching on the lowest uncovered set with at most one allowed vertex
-left, else on the lowest uncovered set, a shortest one.  At the root of
-every hitting-set search, the value search and each witness prefix test,
-``_reduce`` forces the vertex of a set with one allowed vertex left and
-drops a vertex whose uncovered sets another allowed vertex all hits, until
-neither rule fires; neither changes whether k allowed vertices suffice.
-The forced rule and the branching read the same pass over the stars of the
-allowed vertices (``_allowed_hits``).  On every tree tried the reduction
-alone settles the search.  The two engines share their greedy bounds, as
-gpack <= gt suggests: disjoint sets bound gt from below, and stars hitting
-every set bound gpack from above; each greedy returns what it picked.  The
+left, else on the lowest uncovered set, a shortest one.  Both engines
+reduce at the root of every search, the value search and each witness
+prefix test.  ``_reduce`` (gt) forces the vertex of a set with one allowed
+vertex left and drops a vertex whose uncovered sets another allowed vertex
+all hits, until neither rule fires; neither changes whether k allowed
+vertices suffice.  The forced rule and the branching read the same pass
+over the stars of the allowed vertices (``_allowed_hits``).
+``_take_hubs`` (packing) takes a candidate A with a hub, a vertex w of A on
+every live candidate meeting A, and drops w's live star, until no
+candidate has one: an optimal packing holds at most one candidate through
+w, and swapping it for A keeps it optimal, so every subinstance keeps its
+optimum.  Values, prefix decisions and lex-least witnesses stay exact, and
+on every tree tried both reductions alone settle the search.  The two
+engines share their greedy bounds, as gpack <= gt suggests: disjoint sets
+bound gt from below, and stars hitting every set bound gpack from above;
+each greedy returns what it picked.  The
 packing search also bounds a packing by its fractional relaxation: each live
 vertex holds at most 1 / (the size of its shortest candidate) of it.  Each
 search takes a starting bound and a stop target and returns the packing or
@@ -195,6 +201,55 @@ def _greedy_cover(uncovered: int, stars: Sequence[int]) -> int:
 # Packing engine: pairwise disjoint sets (gpack, induced P3 packing)
 # ---------------------------------------------------------------------------
 
+def _take_hubs(cand: int, sets: Sequence[Sequence[int]], covers: Sequence[int]) -> tuple[int, int]:
+    """Take each live candidate A with a hub until none is left.
+
+    A hub of A is a vertex w of A on every live candidate meeting A, so A's
+    live neighbourhood is w's live star.  A packing holds at most one
+    candidate through w, and A can replace it, so taking A and dropping w's
+    live star keeps the optimum for every size.  A vertex w is a hub of A
+    exactly when the live star of every vertex of A lies in w's; all such w
+    of a vertex u lie on u's lowest live candidate, so only its vertices are
+    tested.  A candidate with two vertices no other vertex dominates has no
+    hub and is skipped unread.  Dropping sets shrinks every star alike and
+    keeps each containment, so a sweep takes every candidate it finds with a
+    hub that is still live.  Returns the reduced ``cand`` and the mask of
+    the candidates taken.
+    """
+    taken = 0
+    while cand:
+        stars = [s & cand for s in covers]
+        hubs = [0] * len(covers)
+        once = twice = 0  # the candidates through one, and through two, undominated vertices
+        for u, star in enumerate(stars):
+            if star:
+                h = 0
+                for w in sets[(star & -star).bit_length() - 1]:
+                    if not star & ~stars[w]:
+                        h |= 1 << w
+                hubs[u] = h
+                if h == 1 << u:
+                    twice |= once & star
+                    once |= star
+        rest = cand & ~twice
+        swept = taken
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if cand & low:
+                vertices = sets[low.bit_length() - 1]
+                common = -1
+                for u in vertices:
+                    common &= hubs[u]
+                if common:
+                    taken |= low
+                    for u in vertices:
+                        cand &= ~covers[u]
+        if taken == swept:
+            break
+    return cand, taken
+
+
 def _pack_search(
     sets: Sequence[Sequence[int]],
     covers: Sequence[int],
@@ -215,7 +270,11 @@ def _pack_search(
     (one some candidate holds): every lower vertex is decided, so either one
     of the candidates through v, shortest first, joins the packing, or v
     stays unused.  ``weights[j]`` is ``unit // len(sets[j])``, with ``unit``
-    the lcm of the set sizes.
+    the lcm of the set sizes.  The root node, once past the count and
+    fractional bounds, runs ``_take_hubs`` and searches the reduced instance
+    as the same node; a reduction that empties ``cand`` settles the search
+    in that one node.  Reducing before those bounds cost more than it saved
+    where they prune the root, as in most prefix tests on diagonal grids.
     """
     found = None
     if best < 0:  # the empty packing always exists
@@ -223,6 +282,7 @@ def _pack_search(
     if best >= target:
         return found
     n = len(covers)
+    root = True
     stack = [(cand, 0, 0)]
     while stack:
         cand, packed, lo = stack.pop()
@@ -249,7 +309,16 @@ def _pack_search(
         # candidate through u, its lowest star position), so the packing
         # holds at most spread / unit candidates.  Stars hitting every
         # candidate each hold at most one packed candidate.
-        if spread < (slack + 1) * unit or _greedy_cover(cand, stars).bit_count() <= slack:
+        if spread < (slack + 1) * unit:
+            continue
+        if root:
+            root = False
+            cand, taken = _take_hubs(cand, sets, covers)
+            if taken:  # the reduced root is this same node, searched again
+                budget.nodes -= 1
+                stack.append((cand, packed | taken, 0))
+                continue
+        if _greedy_cover(cand, stars).bit_count() <= slack:
             continue
         hold = stars[0]
         stack.append((cand & ~hold, packed, v + 1))

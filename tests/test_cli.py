@@ -192,12 +192,15 @@ def test_verify_trees_seeded(capsys):
 
 
 def test_verify_trees_budget_inconclusive(capsys):
-    # The root reduction settles gt on a tree in its root node, so under a
-    # one-node budget the first stop comes from the gpack search.
+    # Both engines reduce a tree to nothing at the root of each search, so a
+    # one-node budget settles every tree; a capped catalog still stops it.
     code, out = run(capsys, "verify", "trees", "--n", "30", "--count", "2", "--node-budget", "1")
+    assert code == 0
+    assert out.splitlines() == [f"PASS tree {i} (n=30) packing equals transversal" for i in range(2)] + ["# 2/2 passed"]
+    code, out = run(capsys, "verify", "trees", "--n", "30", "--count", "2", "--cap", "10")
     assert code == 3
     assert out.splitlines() == [
-        f"INCONCLUSIVE tree {i} (n=30): gpack search stopped: search node budget exhausted" for i in range(2)
+        f"INCONCLUSIVE tree {i} (n=30): maximal-geodesic catalog exceeded 10 entries" for i in range(2)
     ] + ["# 0/2 passed"]
 
 

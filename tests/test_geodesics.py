@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import geopack as gp
 from geopack.errors import ContractViolation, DomainError, EnumerationOverflow
@@ -17,6 +18,18 @@ from oracles import all_simple_paths, bfs_distances, nx_maximal_geodesics, oracl
 
 def catalog_tuples(g: gp.Graph, cap: int = 100_000) -> set[tuple[int, ...]]:
     return {p.vertices for p in gp.enumerate_maximal_geodesics(g, cap=cap).geodesics}
+
+
+def _count_bfs_sources(monkeypatch) -> list[int]:
+    sources: list[int] = []
+    bfs = gp.geodesics._bfs
+
+    def counting(adj, source):
+        sources.append(source)
+        return bfs(adj, source)
+
+    monkeypatch.setattr(gp.geodesics, "_bfs", counting)
+    return sources
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +152,15 @@ def test_grid_geodesic_orders():
     assert orders == {2, 3}
 
 
-def test_isolated_vertices_are_trivial_geodesics():
+def test_isolated_vertices_are_trivial_geodesics(monkeypatch):
     g = gp.Graph.from_edges(3, [(0, 1)])
     assert catalog_tuples(g) == {(0, 1), (2,)}
+    # Isolated 0 and 7 beside a path 1-2-3, whose cut vertex 2 is no source,
+    # and a triangle.
+    sources = _count_bfs_sources(monkeypatch)
+    g = gp.Graph.from_edges(8, [(1, 2), (2, 3), (4, 5), (4, 6), (5, 6)])
+    assert catalog_tuples(g) == {(0,), (1, 2, 3), (4, 5), (4, 6), (5, 6), (7,)}
+    assert sorted(sources) == [0, 1, 3, 4, 5, 6, 7]
 
 
 def test_empty_graph_catalog():
@@ -266,6 +285,42 @@ def test_uniform_closed_under_box_product(g, h):
 @given(graphs_st(max_n=6))
 def test_catalog_matches_bruteforce(g):
     assert catalog_tuples(g) == oracle_maximal_geodesics(g)
+
+
+def test_enumeration_runs_no_bfs_from_a_cut_vertex(monkeypatch):
+    # A tree's cut vertices are its inner vertices, so only leaves are sources.
+    sources = _count_bfs_sources(monkeypatch)
+    t = gp.random_tree(40, random.Random(3))
+    gp.enumerate_maximal_geodesics(t)
+    assert sorted(sources) == [v for v in range(t.n) if len(t.adj[v]) == 1]
+    # Two triangles sharing vertex 2.
+    sources.clear()
+    bowtie = gp.Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert catalog_tuples(bowtie) == oracle_maximal_geodesics(bowtie)
+    assert sorted(sources) == [0, 1, 3, 4]
+
+
+@given(graphs_st(max_n=9))
+@settings(max_examples=150)
+def test_cut_vertices_match_networkx(g):
+    import networkx as nx
+
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    cut = gp.geodesics._cut_vertices(g.adj)
+    assert {v for v in range(g.n) if cut >> v & 1} == set(nx.articulation_points(G))
+
+
+@given(graphs_st(max_n=5, connected=True), graphs_st(max_n=5, connected=True), st.integers(0, 4))
+@settings(max_examples=60)
+def test_catalog_of_graphs_glued_at_a_cut_vertex(g, h, at):
+    # h's vertex 0 becomes g's vertex ``at``; h's others follow g's.
+    glue = at % g.n
+    ids = [glue] + list(range(g.n, g.n + h.n - 1))
+    edges = list(g.edges()) + [(ids[u], ids[v]) for u, v in h.edges()]
+    glued = gp.Graph.from_edges(g.n + h.n - 1, edges)
+    assert catalog_tuples(glued) == oracle_maximal_geodesics(glued)
 
 
 def test_catalog_matches_networkx_beyond_bruteforce():

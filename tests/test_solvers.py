@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geopack as gp
 from geopack.errors import BudgetExceeded, ContractViolation, DomainError
@@ -171,6 +172,64 @@ def test_reduce_forces_and_drops_the_higher_of_equal_stars(spec, picked_without_
     assert gp.solvers._reduce(everything, 0, 0, sets, covers) == (0, 0b11111, 0b1)
     assert gp.solvers._reduce(everything, 0b1, 0, sets, covers)[2] == picked_without_0
     assert gp.solvers._reduce(everything, 0b11111, 0, sets, covers) is None
+
+
+@pytest.mark.parametrize("spec, reduces", [("star:4", True), ("path:5", True), ("cycle:5", False)])
+def test_take_hubs_takes_a_set_through_a_hub(spec, reduces):
+    # Every leaf-to-leaf path of star:4 runs through the centre, so the first
+    # one is taken and the centre's star dropped; path:5 has one maximal
+    # geodesic.  In cycle:5 no vertex lies on every set meeting another.
+    g = gp.generate(gp.parse_family(spec))
+    _, sets, covers = gp.solvers._number_sets(gp.enumerate_maximal_geodesics(g).paths, g.n)
+    everything = (1 << len(sets)) - 1
+    assert gp.solvers._take_hubs(everything, sets, covers) == ((0, 0b1) if reduces else (everything, 0))
+
+
+@given(st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=9))
+@settings(max_examples=300)
+def test_take_hubs_keeps_the_optimum(family):
+    # The packing engine packs any vertex sets.  The taken sets are pairwise
+    # disjoint, meet no set left, and with a largest packing of the rest make
+    # a largest packing of the family.
+    from oracles import brute_lex_least_packing
+
+    _, sets, covers = gp.solvers._number_sets([sorted(f) for f in family], 7)
+    everything = (1 << len(sets)) - 1
+
+    def largest(mask):
+        return len(brute_lex_least_packing([set(sets[j]) for j in range(len(sets)) if mask >> j & 1]))
+
+    rest, taken = gp.solvers._take_hubs(everything, sets, covers)
+    used = [v for j in range(len(sets)) if taken >> j & 1 for v in sets[j]]
+    assert len(used) == len(set(used))
+    assert not any(set(sets[j]) & set(used) for j in range(len(sets)) if rest >> j & 1)
+    assert taken.bit_count() + largest(rest) == largest(everything)
+
+
+def test_gpack_witness_is_lex_least_on_small_trees(small_trees):
+    from oracles import brute_lex_least_packing
+
+    for t in small_trees:
+        paths = gp.enumerate_maximal_geodesics(t).paths
+        expected = [paths[j] for j in brute_lex_least_packing([set(p) for p in paths])]
+        assert [p.vertices for p in gp.gpack_exact(t)[1].geodesics] == expected
+
+
+def test_gpack_on_a_300_vertex_tree():
+    # The root reduction empties the value search in its root node and
+    # settles each witness prefix test at its root.
+    t = gp.random_tree(300, random.Random(1))
+    value, packing = gp.gpack_exact(t, gp.SolveLimits(node_budget=1_000))
+    assert value == gp.gpack_tree(t)[0] == 46
+    assert gp.solvers._solve_gpack(t, gp.SolveLimits(node_budget=1), want_witness=False).stats.nodes == 1
+    used = [v for p in packing.geodesics for v in p.vertices]
+    assert len(used) == len(set(used))
+
+
+@pytest.mark.slow
+def test_gpack_on_a_1000_vertex_tree():
+    t = gp.random_tree(1000, random.Random(1))
+    assert gp.gpack_value(t, gp.SolveLimits(node_budget=1)) == gp.gpack_tree(t)[0] == 161
 
 
 def test_gt_witness_is_lex_least_on_small_trees(small_trees):

@@ -15,7 +15,7 @@ import sys
 
 from . import SUITE_NAMES
 from .errors import BudgetExceeded, DomainError, ParseError, SpecError
-from .geodesics import catalog_to_json_dict, complete_catalog, enumerate_maximal_geodesics
+from .geodesics import catalog_to_json_dict, enumerate_maximal_geodesics
 from .graphs import (
     FamilySpec,
     Graph,
@@ -28,8 +28,7 @@ from .graphs import (
 from .solvers import (
     DEFAULT_LIMITS,
     SolveLimits,
-    _solve_gpack,
-    _solve_gt,
+    _solve,
     duality_check,
     solve_result_to_json_dict,
 )
@@ -79,9 +78,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     limits = _limits(args)
     wanted = ["gpack", "gt"] if args.invariant == "both" else [args.invariant]
-    catalog = complete_catalog(g, limits.max_geodesics)  # one enumeration serves both solves
-    solve = {"gpack": _solve_gpack, "gt": _solve_gt}
-    docs = [(inv, solve[inv](g, limits, catalog=catalog)) for inv in wanted]
+    docs = list(zip(wanted, _solve(g, limits, wanted)))
     if args.format == "json":
         payload = [solve_result_to_json_dict(inv, res) for inv, res in docs]
         _emit_json(payload[0] if len(payload) == 1 else payload)
@@ -132,6 +129,8 @@ def cmd_tree(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_suite  # the suites load only for the commands that run them
 
+    if args.count < 1:
+        raise DomainError(f"verify needs --count >= 1, got {args.count}")
     limits = _limits(args)
     results = run_suite(
         args.suite, size=args.n, count=args.count, seed=args.seed, limits=limits

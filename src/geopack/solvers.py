@@ -2,11 +2,17 @@
 
 Both invariants run on one mask state over the full maximal-geodesic
 catalog, which ``geodesics.complete_catalog`` refuses when capped.
-The entries are numbered once, shortest first with ties in catalog order,
+``_number_sets`` numbers the entries shortest first, ties in catalog order,
 and the only masks are the stars: for each vertex, the mask of the entries
-through it, O(m*n) bits for m entries on n vertices.  Two twin engines take
-vertex sets and return a value and, if asked, a lexicographically least
-optimal witness.  ``_pack`` packs pairwise disjoint sets (gpack, and the
+through it, O(m*n) bits for m entries on n vertices.  ``_solve`` enumerates
+and numbers the catalog once and runs each requested engine on it under its
+own budget.  The value, exact and report entry points ask it for one
+invariant; ``duality_check`` (and so ``geopack ratio``),
+``verify_tree_equality`` and ``compute --invariant both`` ask for both, so
+they enumerate and number once.  There the first invariant's ``millis``
+includes the enumeration and numbering (JSON reports 0).  Two twin engines
+take numbered sets and return a value and, if asked, a lexicographically
+least optimal witness.  ``_pack`` packs pairwise disjoint sets (gpack, and the
 induced-P3 packing of the NP-completeness reduction), branching on the
 lowest vertex a candidate still holds.  ``_cover`` is a minimum hitting set
 (gt), branching on the lowest uncovered set with at most one allowed vertex
@@ -142,16 +148,19 @@ class _Budget:
         raise BudgetExceeded(f"{self.what} stopped: {reason}", lower=self.lower, upper=self.upper, nodes=self.nodes)
 
 
-def _number_sets(
-    sets: Sequence[Sequence[int]], n: int
-) -> tuple[list[int], list[Sequence[int]], list[int]]:
-    """Number the sets shortest first, ties in input order.
+class _Numbered(NamedTuple):
+    """``order[i]`` is the input index of position i, ``sets[i]`` its set, and
+    ``covers[v]`` the star of vertex v: the mask of the positions holding it."""
 
-    Returns the input index of each position, the sets in position order and,
-    for each vertex, its star: the mask of the positions holding it.  Each
-    star is read from a per-vertex byte row, O(m*L + n*m/8) for m sets of at
-    most L vertices.
-    """
+    order: list[int]
+    sets: list[Sequence[int]]
+    covers: list[int]
+
+
+def _number_sets(sets: Sequence[Sequence[int]], n: int) -> _Numbered:
+    """Number the sets over vertices ``0..n-1`` shortest first, ties in input
+    order.  Each star is read from a per-vertex byte row, O(m*L + n*m/8) for
+    m sets of at most L vertices."""
     order = sorted(range(len(sets)), key=lambda j: len(sets[j]))
     ordered = [sets[j] for j in order]
     rows = [bytearray((len(sets) + 7) >> 3) for _ in range(n)]
@@ -159,7 +168,7 @@ def _number_sets(
         byte, bit = i >> 3, 1 << (i & 7)
         for v in vertices:
             rows[v][byte] |= bit
-    return order, ordered, [int.from_bytes(row, "little") for row in rows]
+    return _Numbered(order, ordered, [int.from_bytes(row, "little") for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +341,11 @@ def _pack_search(
     return found
 
 
-def _pack(
-    sets: Sequence[Sequence[int]],
-    n: int,
-    budget: _Budget,
-    want_witness: bool,
-) -> tuple[int, list[int] | None]:
-    """Maximum number of pairwise disjoint vertex sets, with the lexicographically
-    least optimal list of set indices when ``want_witness``."""
-    m = len(sets)
-    order, sets, covers = _number_sets(sets, n)
+def _pack(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[int, list[int] | None]:
+    """Maximum number of pairwise disjoint numbered sets, with the
+    lexicographically least optimal list of input indices when ``want_witness``."""
+    order, sets, covers = numbered
+    m, n = len(sets), len(covers)
     unit = math.lcm(*{len(s) for s in sets})
     search = (sets, covers, [unit // len(s) for s in sets], unit)
     cand = (1 << m) - 1
@@ -382,41 +386,6 @@ def _pack(
     if len(chosen) < value:
         raise ContractViolation("witness extraction failed to match the optimum")
     return value, chosen
-
-
-def _stats(budget: _Budget, started: float) -> SolveStats:
-    return SolveStats(budget.nodes, int((time.monotonic() - started) * 1000))
-
-
-def _solve_gpack(
-    g: Graph,
-    limits: SolveLimits,
-    *,
-    catalog: GeodesicCatalog | None = None,
-    want_witness: bool = True,
-) -> SolveResult:
-    started = time.monotonic()
-    budget = _Budget("gpack search", limits)
-    paths = complete_catalog(g, limits.max_geodesics, catalog).paths
-    value, idxs = _pack(paths, g.n, budget, want_witness)
-    witness = None if idxs is None else Packing(tuple(Geodesic(paths[i]) for i in idxs))
-    return SolveResult(value, witness, _stats(budget, started))
-
-
-def gpack_exact(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> tuple[int, Packing]:
-    """Exact geodesic packing number with a lexicographically least witness."""
-    result = _solve_gpack(g, limits, want_witness=True)
-    assert isinstance(result.witness, Packing)
-    return result.value, result.witness
-
-
-def gpack_value(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
-    """Exact gpack value without witness extraction (faster for sweeps)."""
-    return _solve_gpack(g, limits, want_witness=False).value
-
-
-def gpack_report(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> SolveResult:
-    return _solve_gpack(g, limits, want_witness=True)
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +530,11 @@ def _hs_search(
     return found
 
 
-def _cover(
-    sets: Sequence[Sequence[int]],
-    n: int,
-    budget: _Budget,
-    want_witness: bool,
-) -> tuple[int, list[int] | None]:
-    """Fewest vertices hitting every set, with the lexicographically least
-    optimal sorted vertex list when ``want_witness``."""
-    _, sets, covers = _number_sets(sets, n)
+def _cover(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[int, list[int] | None]:
+    """Fewest vertices hitting every numbered set, with the lexicographically
+    least optimal sorted vertex list when ``want_witness``."""
+    _, sets, covers = numbered
+    n = len(covers)
     all_mask = (1 << len(sets)) - 1
     budget.lower = _greedy_disjoint(all_mask, sets, covers).bit_count()
     best = _greedy_cover(all_mask, covers)
@@ -607,35 +572,60 @@ def _cover(
     return value, [v for v in range(n) if kept >> v & 1]
 
 
-def _solve_gt(
-    g: Graph,
-    limits: SolveLimits,
-    *,
-    catalog: GeodesicCatalog | None = None,
-    want_witness: bool = True,
-) -> SolveResult:
+# ---------------------------------------------------------------------------
+# Solving a graph: one catalog, numbered once, for every requested invariant
+# ---------------------------------------------------------------------------
+
+def _solve(
+    g: Graph, limits: SolveLimits, invariants: Sequence[str], want_witness: bool = True
+) -> list[SolveResult]:
+    """Each of ``invariants`` ("gpack", "gt"), in order, from one numbered catalog."""
     started = time.monotonic()
-    budget = _Budget("gt search", limits)
-    paths = complete_catalog(g, limits.max_geodesics, catalog).paths
-    value, vertices = _cover(paths, g.n, budget, want_witness)
-    witness = None if vertices is None else Transversal(tuple(vertices))
-    return SolveResult(value, witness, _stats(budget, started))
+    paths = complete_catalog(g, limits.max_geodesics).paths
+    numbered = _number_sets(paths, g.n)
+    results = []
+    for invariant in invariants:
+        budget = _Budget(f"{invariant} search", limits)
+        if invariant == "gpack":
+            value, idxs = _pack(numbered, budget, want_witness)
+            witness = None if idxs is None else Packing(tuple(Geodesic(paths[i]) for i in idxs))
+        else:
+            value, vertices = _cover(numbered, budget, want_witness)
+            witness = None if vertices is None else Transversal(tuple(vertices))
+        now = time.monotonic()
+        results.append(SolveResult(value, witness, SolveStats(budget.nodes, int((now - started) * 1000))))
+        started = now
+    return results
+
+
+def gpack_exact(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> tuple[int, Packing]:
+    """Exact geodesic packing number with a lexicographically least witness."""
+    result = gpack_report(g, limits)
+    return result.value, result.witness  # type: ignore[return-value]
+
+
+def gpack_value(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
+    """Exact gpack value without witness extraction (faster for sweeps)."""
+    return _solve(g, limits, ("gpack",), want_witness=False)[0].value
+
+
+def gpack_report(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> SolveResult:
+    return _solve(g, limits, ("gpack",))[0]
 
 
 def gt_exact(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> tuple[int, Transversal]:
     """Exact geodesic transversal number with a lexicographically least witness."""
-    result = _solve_gt(g, limits, want_witness=True)
-    assert isinstance(result.witness, Transversal)
-    return result.value, result.witness
+    result = gt_report(g, limits)
+    return result.value, result.witness  # type: ignore[return-value]
 
 
 def gt_value(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
     """Exact gt value without witness extraction (faster for sweeps)."""
-    return _solve_gt(g, limits, want_witness=False).value
+    return _solve(g, limits, ("gt",), want_witness=False)[0].value
 
 
 def gt_report(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> SolveResult:
-    return _solve_gt(g, limits, want_witness=True)
+    return _solve(g, limits, ("gt",))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +639,7 @@ def gpack_upper_bound(g: Graph, catalog: GeodesicCatalog) -> int:
 
 def duality_check(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> DualityReport:
     """Both invariants plus the exact rational gt/gpack."""
-    catalog = complete_catalog(g, limits.max_geodesics)
-    gpack = _solve_gpack(g, limits, catalog=catalog, want_witness=False).value
-    gt = _solve_gt(g, limits, catalog=catalog, want_witness=False).value
+    gpack, gt = (r.value for r in _solve(g, limits, ("gpack", "gt"), want_witness=False))
     if gpack > gt:
         raise ContractViolation(f"solver bug: gpack {gpack} exceeds gt {gt}")
     if gpack == 0:
@@ -664,10 +652,8 @@ def verify_tree_equality(t: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool
     solved from the same catalog."""
     if not is_tree(t):
         raise DomainError("equality check needs a tree")
-    value, _ = gpack_tree(t)
-    catalog = complete_catalog(t, limits.max_geodesics)
-    gt = _solve_gt(t, limits, catalog=catalog, want_witness=False).value
-    return value == gt == _solve_gpack(t, limits, catalog=catalog, want_witness=False).value
+    gt, gpack = (r.value for r in _solve(t, limits, ("gt", "gpack"), want_witness=False))
+    return gpack_tree(t)[0] == gt == gpack
 
 
 def _induced_p3_paths(g: Graph) -> list[tuple[int, int, int]]:
@@ -684,7 +670,8 @@ def _induced_p3_paths(g: Graph) -> list[tuple[int, int, int]]:
 
 def induced_p3_packing_exact(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
     """Maximum number of vertex-disjoint induced three-vertex paths."""
-    return _pack(_induced_p3_paths(g), g.n, _Budget("induced P3 packing", limits), want_witness=False)[0]
+    numbered = _number_sets(_induced_p3_paths(g), g.n)
+    return _pack(numbered, _Budget("induced P3 packing", limits), want_witness=False)[0]
 
 
 def verify_np_reduction(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
@@ -698,11 +685,11 @@ def verify_np_reduction(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
     if g.n == 0:
         raise DomainError("reduction needs a nonempty graph")
     gp = derived_graph(g)
-    catalog = complete_catalog(gp, limits.max_geodesics)
-    for p in catalog.paths:
+    paths = complete_catalog(gp, limits.max_geodesics).paths
+    for p in paths:
         if len(p) != 3:
             raise ContractViolation(f"derived graph has a maximal geodesic of length {len(p) - 1}: {p}")
-    lhs = _solve_gpack(gp, limits, catalog=catalog, want_witness=False).value
+    lhs = _pack(_number_sets(paths, gp.n), _Budget("gpack search", limits), want_witness=False)[0]
     rhs = 1 + induced_p3_packing_exact(g, limits)
     return lhs == rhs
 

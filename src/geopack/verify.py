@@ -1,8 +1,9 @@
 """Built-in verification suites: formulas, trees, the derived-graph identity, grids.
 
 Each suite cross-checks a family of closed forms or structural identities
-against the exact solvers and reports one result per item.  Random inputs
-are fully determined by the caller's seed.
+against the exact solvers and reports one result per item; an item whose
+solve or catalog read stops on a budget or the cap is inconclusive.  Random
+inputs are fully determined by the caller's seed.
 """
 
 from __future__ import annotations
@@ -115,21 +116,27 @@ def suite_formulas(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
                 want = formula_value(spec, invariant)
             except Unsupported:
                 continue
-            got = solve(g, limits)
-            results.append(_check(f"{invariant}({name}) = {want}", got == want, f"solver gave {got}"))
+            label = f"{invariant}({name}) = {want}"
+            try:
+                got = solve(g, limits)
+            except BudgetExceeded as exc:
+                results.append(CheckResult(label, None, str(exc)))
+                continue
+            results.append(_check(label, got == want, f"solver gave {got}"))
     for n in range(2, 6):
         g = rook_graph(n)
         free = set(rook_complement_set(n))
         transversal = set(range(g.n)) - free
-        catalog = complete_catalog(g, limits.max_geodesics)
-        hits_all = all(transversal.intersection(p) for p in catalog.paths)
         want = formula_value(FamilySpec("rook", (n,)), "gt")
+        label = f"rook {n} complement transversal of size {want}"
+        try:
+            catalog = complete_catalog(g, limits.max_geodesics)
+        except BudgetExceeded as exc:
+            results.append(CheckResult(label, None, str(exc)))
+            continue
+        hits_all = all(transversal.intersection(p) for p in catalog.paths)
         results.append(
-            _check(
-                f"rook {n} complement transversal of size {want}",
-                hits_all and len(transversal) == want,
-                f"size {len(transversal)}, hits_all={hits_all}",
-            )
+            _check(label, hits_all and len(transversal) == want, f"size {len(transversal)}, hits_all={hits_all}")
         )
     return results
 
@@ -180,23 +187,28 @@ def suite_grids(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
     for dims in _GRID_DIMS:
         g = diagonal_grid(dims)
         want = formula_value(FamilySpec("diagonal_grid", dims), "gpack")
-        got = gpack_value(g, limits)
-        results.append(_check(f"grid {dims}: gpack = {want}", got == want, f"got {got}"))
+        label = f"grid {dims}: gpack = {want}"
+        try:
+            got = gpack_value(g, limits)
+        except BudgetExceeded as exc:
+            results.append(CheckResult(label, None, str(exc)))
+        else:
+            results.append(_check(label, got == want, f"got {got}"))
         packing = diagonal_grid_packing(dims)
         results.append(
             _check(f"grid {dims}: explicit packing has size {want}", packing.size == want)
         )
-        catalog = complete_catalog(g, limits.max_geodesics)
+        labels = (f"grid {dims}: maximal geodesic orders within {sorted(set(dims))}",
+                  f"grid {dims}: packing bound = {want}")
+        try:
+            catalog = complete_catalog(g, limits.max_geodesics)
+        except BudgetExceeded as exc:
+            results.extend(CheckResult(label, None, str(exc)) for label in labels)
+            continue
         orders = set(map(len, catalog.paths))
-        results.append(
-            _check(
-                f"grid {dims}: maximal geodesic orders within {sorted(set(dims))}",
-                orders.issubset(set(dims)),
-                f"orders {sorted(orders)}",
-            )
-        )
+        results.append(_check(labels[0], orders.issubset(set(dims)), f"orders {sorted(orders)}"))
         bound = gpack_upper_bound(g, catalog)
-        results.append(_check(f"grid {dims}: packing bound = {want}", bound == want, f"got {bound}"))
+        results.append(_check(labels[1], bound == want, f"got {bound}"))
     return results
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from geopack.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +40,25 @@ def test_compute_both_enumerates_once(capsys, monkeypatch):
     code, out = run(capsys, *argv, "--invariant", "both")
     assert code == 0 and len(calls) == 1
     assert out == json.dumps(single, indent=2) + "\n"
+
+
+def test_both_invariant_solves_number_the_catalog_once(capsys, monkeypatch):
+    import geopack.solvers
+
+    calls = []
+    number_once = geopack.solvers._number_sets
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return number_once(*args, **kwargs)
+
+    monkeypatch.setattr(geopack.solvers, "_number_sets", counting)
+    assert run(capsys, "compute", "--family", "rook:3", "--invariant", "both", "--format", "json")[0] == 0
+    assert len(calls) == 1
+    geopack.solvers.duality_check(geopack.rook_graph(3))
+    assert len(calls) == 2
+    assert geopack.solvers.verify_tree_equality(geopack.path_graph(5))
+    assert len(calls) == 3
 
 
 def test_compute_file_gpack(capsys):
@@ -202,6 +223,40 @@ def test_verify_trees_budget_inconclusive(capsys):
     assert out.splitlines() == [
         f"INCONCLUSIVE tree {i} (n=30): maximal-geodesic catalog exceeded 10 entries" for i in range(2)
     ] + ["# 0/2 passed"]
+
+
+@pytest.mark.parametrize(
+    "suite, limit, stop",
+    [
+        ("formulas", ("--node-budget", "1"), "gt search stopped: search node budget exhausted"),
+        ("grids", ("--cap", "50"), "maximal-geodesic catalog exceeded 50 entries"),
+    ],
+)
+def test_verify_stop_marks_items_inconclusive(capsys, suite, limit, stop):
+    # A stopped solve or catalog read is one inconclusive item; the other items still run.
+    code, out = run(capsys, "verify", suite, *limit)
+    lines = out.splitlines()
+    assert code == 3 and "FAIL" not in out
+    assert any(line.startswith("PASS ") for line in lines)
+    assert any(line.startswith("INCONCLUSIVE ") and line.endswith(stop) for line in lines)
+
+
+def test_verify_all_reports_every_suite_past_a_cap(capsys):
+    code, out = run(capsys, "verify", "all", "--cap", "5", "--count", "2")
+    labels = [line.split(" ", 1)[1] for line in out.splitlines()[:-1]]
+    assert code == 3 and "FAIL" not in out
+    assert any(label.startswith(("gpack(", "gt(", "rook ")) for label in labels)
+    for suite in ("tree ", "reduction ", "grid "):
+        assert any(label.startswith(suite) for label in labels)
+    assert "maximal-geodesic catalog exceeded 5 entries" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_rejects_a_count_below_one(capsys, count):
+    assert main(["verify", "trees", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: verify needs --count >= 1, got {count}\n"
 
 
 def test_verify_failure_wins_over_inconclusive(capsys, monkeypatch):

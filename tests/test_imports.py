@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "geopack"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "geopack"
 
 
 def test_library_imports_only_the_standard_library():
@@ -71,3 +73,16 @@ def test_cli_import_leaves_the_suites_unloaded():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False"]
+
+
+def test_benchmark_imports_resolve():
+    # perfbench imports these names by hand; renaming or moving one breaks
+    # every benchmark run, so each must still resolve.
+    missing = []
+    scripts = sorted((ROOT / "perfbench").glob("*.py"))
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("geopack", "geopack.cli"):
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert scripts and missing == []

@@ -221,7 +221,7 @@ def test_gpack_on_a_300_vertex_tree():
     t = gp.random_tree(300, random.Random(1))
     value, packing = gp.gpack_exact(t, gp.SolveLimits(node_budget=1_000))
     assert value == gp.gpack_tree(t)[0] == 46
-    assert gp.solvers._solve_gpack(t, gp.SolveLimits(node_budget=1), want_witness=False).stats.nodes == 1
+    assert gp.solvers._solve(t, gp.SolveLimits(node_budget=1), ("gpack",), want_witness=False)[0].stats.nodes == 1
     used = [v for p in packing.geodesics for v in p.vertices]
     assert len(used) == len(set(used))
 
@@ -422,16 +422,16 @@ def test_p3_packing_budget_exceeded():
 
 
 @pytest.mark.parametrize(
-    "solve, value, exact",
+    "invariant, value, exact",
     [
-        (gp.solvers._solve_gpack, gp.gpack_value, gp.gpack_exact),
-        (gp.solvers._solve_gt, gp.gt_value, gp.gt_exact),
+        ("gpack", gp.gpack_value, gp.gpack_exact),
+        ("gt", gp.gt_value, gp.gt_exact),
     ],
 )
-def test_witness_extraction_budget_exceeded(solve, value, exact):
+def test_witness_extraction_budget_exceeded(invariant, value, exact):
     # A budget the value search fits in, but not the witness extraction.
     g = gp.rook_graph(3)
-    budget = solve(g, gp.DEFAULT_LIMITS, want_witness=False).stats.nodes
+    budget = gp.solvers._solve(g, gp.DEFAULT_LIMITS, (invariant,), want_witness=False)[0].stats.nodes
     assert budget >= 1
     limits = gp.SolveLimits(node_budget=budget)
     assert value(g, limits) == value(g)

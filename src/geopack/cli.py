@@ -2,7 +2,8 @@
 
 Subcommands: compute, enumerate, generate, verify, ratio, tree.  Exit codes:
 0 success, 1 verification failure (even beside a budget stop), 2 input
-error, 3 budget exceeded.
+error, 3 budget exceeded, 141 stdout closed by its reader (128 + SIGPIPE;
+no message).
 JSON output is byte-deterministic for a fixed input and seed (timings are
 suppressed there; text mode reports them).
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import SUITE_NAMES
@@ -241,7 +243,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # The reader has gone (``| head``): not an input error.  Point stdout
+        # at devnull so the interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetExceeded as exc:
         bounds = ""
         if exc.lower is not None or exc.upper is not None:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, DomainError, EnumerationOverflow
 from .graphs import Graph
@@ -86,17 +85,21 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(_bfs(g.adj, s)[0]) for s in range(g.n))
 
 
-@dataclass(frozen=True)
-class Geodesic:
-    """A shortest path stored in canonical orientation (first id <= last id)."""
-
+class _GeodesicFields(NamedTuple):  # a NamedTuple body cannot override __new__
     vertices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
+
+class Geodesic(_GeodesicFields):
+    """A shortest path stored in canonical orientation (first id <= last id)."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple[int, ...]) -> Geodesic:
+        if not vertices:
             raise ValueError("a geodesic has at least one vertex")
-        if self.vertices[0] > self.vertices[-1]:
+        if vertices[0] > vertices[-1]:
             raise ValueError("geodesic not in canonical orientation")
+        return super().__new__(cls, vertices)
 
     @staticmethod
     def from_vertices(seq: Sequence[int]) -> Geodesic:
@@ -110,14 +113,14 @@ class Geodesic:
         return len(self.vertices) - 1
 
 
-@dataclass(frozen=True)
-class GeodesicCatalog:
+class GeodesicCatalog(NamedTuple):
     """Deduplicated maximal geodesics of one graph, sorted lexicographically.
 
     ``paths`` holds each entry as its vertex tuple in canonical orientation;
     ``geodesics`` wraps them in ``Geodesic`` on every access.
     ``complete`` is False when the full catalog has more than ``cap`` entries,
     in which case the stored entries are its lexicographically first ``cap``.
+    The ``count`` property, the number of entries, shadows ``tuple.count``.
     """
 
     paths: tuple[tuple[int, ...], ...]

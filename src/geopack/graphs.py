@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ContractViolation, DomainError, ParseError, SpecError
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Immutable simple undirected graph on vertex ids ``0..n-1``.
 
     ``adj[v]`` holds the sorted neighbour ids of ``v``.  ``labels``, when
@@ -322,8 +320,7 @@ _PRODUCTS: dict[str, Callable[[Graph, Graph], Graph]] = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A named graph family with integer parameters, or a product of two specs."""
 
     kind: str

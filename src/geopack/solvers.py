@@ -48,9 +48,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, DomainError
 from .geodesics import (
@@ -63,25 +61,32 @@ from .geodesics import (
 from .graphs import Graph, derived_graph
 from .trees import gpack_tree, is_tree
 
+if TYPE_CHECKING:  # duality_check imports it when it runs
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class SolveLimits:
-    """Resource ceilings for the exact solvers."""
 
+class _LimitFields(NamedTuple):  # a NamedTuple body cannot override __new__
     max_geodesics: int = DEFAULT_CAP
     time_budget: float = 60.0
     node_budget: int = 10_000_000
 
-    def __post_init__(self) -> None:
+
+class SolveLimits(_LimitFields):
+    """Resource ceilings for the exact solvers, each positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SolveLimits:
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_geodesics < 1 or not self.time_budget > 0 or self.node_budget < 1:
             raise ValueError("solve limits must be positive")
+        return self
 
 
 DEFAULT_LIMITS = SolveLimits()
 
 
-@dataclass(frozen=True)
-class Packing:
+class Packing(NamedTuple):
     """Pairwise vertex-disjoint maximal geodesics witnessing a gpack lower bound."""
 
     geodesics: tuple[Geodesic, ...]
@@ -91,8 +96,7 @@ class Packing:
         return len(self.geodesics)
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(NamedTuple):
     """A vertex set hitting every maximal geodesic, as a sorted tuple."""
 
     vertices: tuple[int, ...]
@@ -107,8 +111,7 @@ class SolveStats(NamedTuple):
     millis: int
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     value: int
     witness: Packing | Transversal | None
     stats: SolveStats
@@ -639,6 +642,8 @@ def gpack_upper_bound(g: Graph, catalog: GeodesicCatalog) -> int:
 
 def duality_check(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> DualityReport:
     """Both invariants plus the exact rational gt/gpack."""
+    from fractions import Fraction  # loaded only by the callers that want a ratio
+
     gpack, gt = (r.value for r in _solve(g, limits, ("gpack", "gt"), want_witness=False))
     if gpack > gt:
         raise ContractViolation(f"solver bug: gpack {gpack} exceeds gt {gt}")

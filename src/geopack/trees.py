@@ -12,15 +12,13 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .errors import ContractViolation, DomainError
 from .graphs import Graph, _suppress
 
 
-@dataclass(frozen=True)
-class LeafPairSet:
+class LeafPairSet(NamedTuple):
     """End-vertex pairs of the packed geodesics, sorted by first element.
 
     Pairs satisfy u < v except for the degenerate single-vertex witness

@@ -9,8 +9,7 @@ inputs are fully determined by the caller's seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import SUITE_NAMES
 from .errors import BudgetExceeded, Unsupported
@@ -28,6 +27,9 @@ from .solvers import (
 )
 from .trees import random_tree, tree_from_pruefer
 
+if TYPE_CHECKING:  # rook_ratio_curve imports it when it runs
+    from fractions import Fraction
+
 _GRID_DIMS = (
     (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4),
     (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3), (2, 3, 4),
@@ -42,8 +44,7 @@ _FORMULA_SPECS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     label: str
     passed: bool | None  # None marks an inconclusive (budget-limited) check
     detail: str = ""
@@ -55,6 +56,8 @@ def _check(label: str, ok: bool, detail: str = "") -> CheckResult:
 
 def rook_ratio_curve(n: int) -> Fraction:
     """The rook-graph lower-bound curve 3(1 - 2/n + 2/n^2) as an exact rational."""
+    from fractions import Fraction
+
     return Fraction(3 * (n * n - 2 * n + 2), n * n)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -338,3 +339,19 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and "gpack = 2" in proc.stdout
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The catalog JSON (134 KB) outgrows the pipe buffer, so a write always
+    # meets the closed pipe: that is SIGPIPE's exit code, not an input error.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "geopack", "enumerate", "--family", "diagonal_grid:6,6", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert first == b"{\n" and err == b""

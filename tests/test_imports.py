@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "geopack"
 
@@ -73,6 +75,18 @@ def test_cli_import_leaves_the_suites_unloaded():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False"]
+
+
+@pytest.mark.parametrize("module", ["geopack", "geopack.cli"])
+def test_import_loads_no_heavy_stdlib_modules(module):
+    # Every CLI call pays for its imports: dataclasses pulls in inspect (and
+    # ast, dis, tokenize), fractions pulls in decimal.  The records are
+    # NamedTuples and the ratio code imports fractions when it runs.
+    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    code = f"import sys, {module}; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
 
 
 def test_benchmark_imports_resolve():

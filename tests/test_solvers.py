@@ -61,13 +61,13 @@ def test_gpack_fractional_bound_on_a_sparse_random_graph():
 
 def test_solves_build_geodesics_only_for_the_witness(monkeypatch):
     built = []
-    post_init = gp.Geodesic.__post_init__
+    new = gp.Geodesic.__new__
 
-    def counting(self):
-        built.append(self.vertices)
-        post_init(self)
+    def counting(cls, vertices):
+        built.append(vertices)
+        return new(cls, vertices)
 
-    monkeypatch.setattr(gp.Geodesic, "__post_init__", counting)
+    monkeypatch.setattr(gp.Geodesic, "__new__", counting)
     g = gp.diagonal_grid((4, 4, 4))  # 13,468 maximal geodesics
     assert gp.gpack_value(g) == 16 and gp.gt_value(gp.rook_graph(4)) == 10
     assert built == []
@@ -276,6 +276,31 @@ def test_duality_rook3():
 def test_duality_on_trees_is_one():
     t = gp.Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     assert gp.duality_check(t).ratio == 1
+
+
+# The smallest ratio-3 graph: 6 vertices, gpack 1 and gt 3.
+RATIO_THREE_EDGES = [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (3, 4), (4, 5)]
+
+
+def test_duality_reaches_three_on_six_vertices():
+    g = gp.Graph.from_edges(6, RATIO_THREE_EDGES)
+    assert gp.duality_check(g) == (1, 3, 3)
+    assert (oracle_gpack(g), oracle_gt(g)) == (1, 3)
+
+
+def test_duality_ratio_at_most_three_on_the_atlas():
+    # Every connected graph with n <= 7: the ratio never passes 3, and the
+    # graph above is the first in atlas order to reach it.
+    nx = pytest.importorskip("networkx")
+    best, first, count = 0, None, 0
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() == 0 or not nx.is_connected(h):
+            continue
+        count += 1
+        ratio = gp.duality_check(gp.Graph.from_edges(h.number_of_nodes(), h.edges())).ratio
+        if ratio > best:
+            best, first = ratio, sorted(h.edges())
+    assert (count, best, first) == (996, 3, RATIO_THREE_EDGES)
 
 
 def test_duality_empty_graph_rejected():

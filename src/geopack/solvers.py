@@ -10,13 +10,17 @@ own budget.  The value, exact and report entry points ask it for one
 invariant; ``duality_check`` (and so ``geopack ratio``),
 ``verify_tree_equality`` and ``compute --invariant both`` ask for both, so
 they enumerate and number once.  There the first invariant's ``millis``
-includes the enumeration and numbering (JSON reports 0).  Two twin engines
-take numbered sets and return a value and, if asked, a lexicographically
-least optimal witness.  ``_pack`` packs pairwise disjoint sets (gpack, and the
-induced-P3 packing of the NP-completeness reduction), branching on the
-lowest vertex a candidate still holds.  ``_cover`` is a minimum hitting set
-(gt), branching on the lowest uncovered set with at most one allowed vertex
-left, else on the lowest uncovered set, a shortest one.  Both engines
+includes the enumeration and numbering (JSON reports 0).  A witness solve
+keeps its numbered catalog (one entry, ``_kept``) for the next solve of the
+same graph and cap, so ``gpack_report`` then ``gt_report`` enumerates and
+numbers once; a value-only solve reads that entry but keeps nothing.  Two
+twin engines take numbered sets and return a value and, if asked, a
+lexicographically least optimal witness.  ``_pack`` packs pairwise disjoint
+sets (gpack, and the induced-P3 packing of the NP-completeness reduction),
+branching on the lowest vertex a candidate still holds.  ``_cover`` is a
+minimum hitting set (gt), branching on the lowest uncovered set with at
+most one allowed vertex left, else on the lowest uncovered set, a shortest
+one.  Both engines
 reduce at the root of every search, the value search and each witness
 prefix test.  ``_reduce`` (gt) forces the vertex of a set with one allowed
 vertex left and drops a vertex whose uncovered sets another allowed vertex
@@ -41,7 +45,8 @@ holds every committed set or vertex and no rejected one: the root greedy's
 when the root certifies, else the value search's.  A prefix test that
 solution already holds passes with no search; one that searches and passes
 replaces it.  A solve out of nodes or time raises ``BudgetExceeded`` with
-the root greedy bounds as its certified bounds.
+certified root bounds: the greedy packing and, for gpack, the fractional
+bound, for gt the greedy cover.
 """
 
 from __future__ import annotations
@@ -348,13 +353,16 @@ def _pack(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[int
     """Maximum number of pairwise disjoint numbered sets, with the
     lexicographically least optimal list of input indices when ``want_witness``."""
     order, sets, covers = numbered
-    m, n = len(sets), len(covers)
+    m = len(sets)
     unit = math.lcm(*{len(s) for s in sets})
-    search = (sets, covers, [unit // len(s) for s in sets], unit)
+    weights = [unit // len(s) for s in sets]
+    search = (sets, covers, weights, unit)
     cand = (1 << m) - 1
     greedy = _greedy_disjoint(cand, sets, covers)
     budget.lower = greedy.bit_count()
-    budget.upper = n // len(sets[0]) if sets else n
+    # The root fractional bound of ``_pack_search``, at most n // (the order
+    # of the shortest set) since no weight exceeds unit // len(sets[0]).
+    budget.upper = sum(weights[(s & -s).bit_length() - 1] for s in covers if s) // unit
     found = _pack_search(*search, cand, budget.lower, budget.upper, budget)
     best = greedy if found is None else found  # an optimal packing
     value = best.bit_count()
@@ -579,13 +587,36 @@ def _cover(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[in
 # Solving a graph: one catalog, numbered once, for every requested invariant
 # ---------------------------------------------------------------------------
 
+# The numbered catalog of the last witness solve, as (key, paths, numbered)
+# with key = (n, adj, max_geodesics), or None.
+_kept: tuple[tuple, tuple[tuple[int, ...], ...], _Numbered] | None = None
+
+
 def _solve(
     g: Graph, limits: SolveLimits, invariants: Sequence[str], want_witness: bool = True
 ) -> list[SolveResult]:
-    """Each of ``invariants`` ("gpack", "gt"), in order, from one numbered catalog."""
+    """Each of ``invariants`` ("gpack", "gt"), in order, from one numbered catalog.
+
+    The catalog comes from ``_kept`` when its key matches ``g`` and the cap,
+    and is enumerated and numbered otherwise; the old entry is released
+    first, so two catalogs are never alive at once.  Only a witness solve
+    keeps its catalog, for the next solve of the same graph and cap (a
+    report of the other invariant, say); a value-only solve keeps nothing,
+    so a sweep of ``*_value`` calls holds no catalog between calls.  A
+    capped catalog raises before it can be kept.  The engines only read the
+    numbered state, so a kept catalog gives the same results as a fresh one.
+    """
+    global _kept
     started = time.monotonic()
-    paths = complete_catalog(g, limits.max_geodesics).paths
-    numbered = _number_sets(paths, g.n)
+    key = (g.n, g.adj, limits.max_geodesics)
+    if _kept is not None and _kept[0] == key:
+        paths, numbered = _kept[1:]
+    else:
+        _kept = None
+        paths = complete_catalog(g, limits.max_geodesics).paths
+        numbered = _number_sets(paths, g.n)
+        if want_witness:
+            _kept = (key, paths, numbered)
     results = []
     for invariant in invariants:
         budget = _Budget(f"{invariant} search", limits)

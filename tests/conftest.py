@@ -17,6 +17,12 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+@pytest.fixture(autouse=True)
+def no_kept_catalog():
+    """Every test starts with no kept catalog, so no outcome depends on test order."""
+    gp.solvers._kept = None
+
+
 def nx_to_graph(G: nx.Graph) -> gp.Graph:
     nodes = sorted(G.nodes())
     idx = {v: i for i, v in enumerate(nodes)}

@@ -38,6 +38,7 @@ def test_compute_both_enumerates_once(capsys, monkeypatch):
         return enumerate_once(*args, **kwargs)
 
     monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", counting)
+    monkeypatch.setattr(geopack.solvers, "_kept", None)  # the single runs kept rook:3
     code, out = run(capsys, *argv, "--invariant", "both")
     assert code == 0 and len(calls) == 1
     assert out == json.dumps(single, indent=2) + "\n"
@@ -54,10 +55,14 @@ def test_both_invariant_solves_number_the_catalog_once(capsys, monkeypatch):
         return number_once(*args, **kwargs)
 
     monkeypatch.setattr(geopack.solvers, "_number_sets", counting)
+    # Each counted solve starts with no kept catalog: compute keeps rook:3.
+    monkeypatch.setattr(geopack.solvers, "_kept", None)
     assert run(capsys, "compute", "--family", "rook:3", "--invariant", "both", "--format", "json")[0] == 0
     assert len(calls) == 1
+    monkeypatch.setattr(geopack.solvers, "_kept", None)
     geopack.solvers.duality_check(geopack.rook_graph(3))
     assert len(calls) == 2
+    monkeypatch.setattr(geopack.solvers, "_kept", None)
     assert geopack.solvers.verify_tree_equality(geopack.path_graph(5))
     assert len(calls) == 3
 
@@ -316,6 +321,17 @@ def test_time_budget_exit_three(capsys):
 
 def test_compute_cap_overflow_exit_three(capsys):
     # rook:3 has 36 maximal geodesics; no solve reads a capped prefix.
+    assert main(["compute", "--family", "rook:3", "--cap", "10", "--invariant", "gt", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: maximal-geodesic catalog exceeded 10 entries (bounds: lower=0, upper=9)\n"
+
+
+def test_cap_overflow_after_a_kept_catalog(capsys):
+    # A default-cap report keeps rook:3's catalog; a smaller cap is another
+    # key, so the capped enumeration still refuses.
+    assert main(["compute", "--family", "rook:3", "--invariant", "gt", "--format", "json"]) == 0
+    capsys.readouterr()
     assert main(["compute", "--family", "rook:3", "--cap", "10", "--invariant", "gt", "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -403,6 +404,40 @@ def test_gpack_never_exceeds_bound_or_gt(t):
     assert value <= gp.gt_value(t)
 
 
+def _fractional_bound(paths: tuple[tuple[int, ...], ...], n: int) -> int:
+    # Each vertex holds at most 1 / (the order of its shortest entry) of a packing.
+    shortest: dict[int, int] = {}
+    for p in paths:
+        for v in p:
+            shortest[v] = min(shortest.get(v, n), len(p))
+    return math.floor(sum((Fraction(1, k) for k in shortest.values()), Fraction(0)))
+
+
+@given(graphs_st(min_n=15, max_n=30, connected=True))
+@settings(max_examples=15, deadline=None)
+def test_solver_properties_at_n_15_to_30(g):
+    paths = gp.complete_catalog(g).paths
+    catalog = set(paths)
+    budget = gp.solvers._Budget("gpack search", gp.DEFAULT_LIMITS)
+    gp.solvers._pack(gp.solvers._number_sets(paths, g.n), budget, want_witness=False)
+    bound = _fractional_bound(paths, g.n)
+    cold = []
+    for report in (gp.gpack_report, gp.gt_report):
+        gp.solvers._kept = None
+        cold.append(report(g))
+    warm = [gp.gpack_report(g), gp.gt_report(g)]  # both read the catalog gt's report kept
+    assert [r[:2] + (r.stats.nodes,) for r in warm] == [r[:2] + (r.stats.nodes,) for r in cold]
+    packing, transversal = cold[0].witness, cold[1].witness
+    assert packing.size == cold[0].value <= budget.upper == bound <= g.n // min(map(len, paths))
+    used: set[int] = set()
+    for p in packing.geodesics:
+        assert p.vertices in catalog and gp.is_maximal_geodesic(g, p)
+        assert not used.intersection(p.vertices)
+        used.update(p.vertices)
+    chosen = set(transversal.vertices)
+    assert transversal.size == cold[1].value and all(chosen.intersection(p) for p in paths)
+
+
 # ---------------------------------------------------------------------------
 # Budgets
 # ---------------------------------------------------------------------------
@@ -419,6 +454,14 @@ def test_gpack_budget_exceeded():
         gp.gpack_exact(gp.rook_graph(5), gp.SolveLimits(node_budget=1))
     assert str(info.value) == "gpack search stopped: search node budget exhausted"
     assert (info.value.lower, info.value.upper, info.value.nodes) == (7, 8, 2)
+
+
+def test_gpack_stop_reports_the_root_fractional_bound():
+    # n // 3 would read 13; the fractional bound is 11, the optimum.
+    g = random_graph(40, 0.15, random.Random(1))
+    with pytest.raises(BudgetExceeded) as info:
+        gp.gpack_report(g, gp.SolveLimits(node_budget=1))
+    assert (info.value.lower, info.value.upper) == (9, 11)
 
 
 def test_root_certified_gpack_witness_needs_no_search():
@@ -476,6 +519,86 @@ def test_limits_validation():
         gp.SolveLimits(node_budget=0)
     with pytest.raises(ValueError):
         gp.SolveLimits(time_budget=float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# The kept catalog
+# ---------------------------------------------------------------------------
+
+def _counted(monkeypatch, module, name: str) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_reports_of_one_graph_share_one_catalog(monkeypatch):
+    import geopack.geodesics
+
+    enumerations = _counted(monkeypatch, geopack.geodesics, "enumerate_maximal_geodesics")
+    numberings = _counted(monkeypatch, gp.solvers, "_number_sets")
+    g = gp.rook_graph(3)
+    gp.gpack_report(g)
+    gp.gt_report(g)
+    assert len(enumerations) == len(numberings) == 1
+    gp.gt_report(gp.Graph.from_edges(g.n, g.edges()))  # equal, not the same object
+    assert len(enumerations) == len(numberings) == 1
+    gp.gpack_report(gp.rook_graph(4))
+    assert len(enumerations) == len(numberings) == 2
+    gp.gpack_report(g, gp.SolveLimits(max_geodesics=1000))
+    assert len(enumerations) == len(numberings) == 3
+    gp.gpack_report(g)  # the kept entry is the cap-1000 one
+    assert len(enumerations) == len(numberings) == 4
+
+
+def test_value_solves_keep_nothing(monkeypatch):
+    import geopack.geodesics
+
+    kept_while_enumerating = []
+    enumerate_ = geopack.geodesics.enumerate_maximal_geodesics
+
+    def watching(*args, **kwargs):
+        kept_while_enumerating.append(gp.solvers._kept)
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", watching)
+    gp.gt_report(gp.rook_graph(3))
+    assert gp.gpack_value(gp.rook_graph(3)) == 3  # reads the kept catalog
+    assert len(kept_while_enumerating) == 1 and gp.solvers._kept is not None
+    assert gp.gt_value(gp.rook_graph(4)) == 10
+    assert kept_while_enumerating == [None, None] and gp.solvers._kept is None
+    gp.gt_report(gp.rook_graph(3))
+    gp.gt_report(gp.rook_graph(4))  # the old entry goes before the new catalog is built
+    assert kept_while_enumerating == [None] * 4 and gp.solvers._kept is not None
+
+
+def test_a_capped_catalog_is_never_kept():
+    gp.gt_report(gp.rook_graph(3))
+    with pytest.raises(BudgetExceeded):
+        gp.gt_report(gp.rook_graph(3), gp.SolveLimits(max_geodesics=10))
+    assert gp.solvers._kept is None
+
+
+def test_a_kept_catalog_solves_like_a_fresh_one():
+    rng = random.Random(18)
+    graphs = [random_graph(rng.randint(8, 16), rng.uniform(0.15, 0.5), rng) for _ in range(10)]
+    graphs += [gp.random_tree(rng.randint(10, 40), rng) for _ in range(10)]
+    solves = (gp.gpack_report, gp.gt_report, gp.gpack_report, gp.gpack_value, gp.gt_value)
+
+    def outcome(result):
+        return result if isinstance(result, int) else (result.value, result.witness, result.stats.nodes)
+
+    for g in graphs:
+        cold = []
+        for solve in solves:
+            gp.solvers._kept = None
+            cold.append(outcome(solve(g)))
+        assert [outcome(solve(g)) for solve in solves] == cold  # all but the first read the kept catalog
 
 
 # ---------------------------------------------------------------------------

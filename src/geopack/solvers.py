@@ -1,52 +1,24 @@
 """Exact solvers for geodesic packing (gpack) and geodesic transversal (gt).
 
 Both invariants run on one mask state over the full maximal-geodesic
-catalog, which ``geodesics.complete_catalog`` refuses when capped.
-``_number_sets`` numbers the entries shortest first, ties in catalog order,
-and the only masks are the stars: for each vertex, the mask of the entries
-through it, O(m*n) bits for m entries on n vertices.  ``_solve`` enumerates
-and numbers the catalog once and runs each requested engine on it under its
-own budget.  The value, exact and report entry points ask it for one
-invariant; ``duality_check`` (and so ``geopack ratio``),
-``verify_tree_equality`` and ``compute --invariant both`` ask for both, so
-they enumerate and number once.  There the first invariant's ``millis``
-includes the enumeration and numbering (JSON reports 0).  A witness solve
-keeps its numbered catalog (one entry, ``_kept``) for the next solve of the
-same graph and cap, so ``gpack_report`` then ``gt_report`` enumerates and
-numbers once; a value-only solve reads that entry but keeps nothing.  Two
-twin engines take numbered sets and return a value and, if asked, a
-lexicographically least optimal witness.  ``_pack`` packs pairwise disjoint
-sets (gpack, and the induced-P3 packing of the NP-completeness reduction),
-branching on the lowest vertex a candidate still holds.  ``_cover`` is a
-minimum hitting set (gt), branching on the lowest uncovered set with at
-most one allowed vertex left, else on the lowest uncovered set, a shortest
-one.  Both engines
-reduce at the root of every search, the value search and each witness
-prefix test.  ``_reduce`` (gt) forces the vertex of a set with one allowed
-vertex left and drops a vertex whose uncovered sets another allowed vertex
-all hits, until neither rule fires; neither changes whether k allowed
-vertices suffice.  The forced rule and the branching read the same pass
-over the stars of the allowed vertices (``_allowed_hits``).
-``_take_hubs`` (packing) takes a candidate A with a hub, a vertex w of A on
-every live candidate meeting A, and drops w's live star, until no
-candidate has one: an optimal packing holds at most one candidate through
-w, and swapping it for A keeps it optimal, so every subinstance keeps its
-optimum.  Values, prefix decisions and lex-least witnesses stay exact, and
-on every tree tried both reductions alone settle the search.  The two
-engines share their greedy bounds, as gpack <= gt suggests: disjoint sets
-bound gt from below, and stars hitting every set bound gpack from above;
-each greedy returns what it picked.  The
-packing search also bounds a packing by its fractional relaxation: each live
-vertex holds at most 1 / (the size of its shortest candidate) of it.  Each
-search takes a starting bound and a stop target and returns the packing or
-cover it found, so one search finds the optimum and decides the prefix tests
-that build the witness.  The witness loop keeps an optimal solution that
-holds every committed set or vertex and no rejected one: the root greedy's
-when the root certifies, else the value search's.  A prefix test that
-solution already holds passes with no search; one that searches and passes
-replaces it.  A solve out of nodes or time raises ``BudgetExceeded`` with
-certified root bounds: the greedy packing and, for gpack, the fractional
-bound, for gt the greedy cover.
+catalog, which ``geodesics.complete_catalog`` refuses when capped.  The
+entries are numbered once per solve, shortest first, and the only masks are
+the stars, one per vertex: O(m*n) bits for m entries on n vertices, so no
+solver state grows with the square of the catalog.  A solve asking for both
+invariants enumerates and numbers once, and so does a report followed by a
+report of the other invariant on the same graph and cap.
+
+Both engines are branch and bound, as gpack is NP-complete: ``_pack`` packs
+pairwise disjoint sets (gpack, and the induced-P3 packing of the reduction)
+and ``_cover`` finds a minimum hitting set (gt).  Each reduces only at the
+root of a search, by rules that keep every optimum, so values, prefix
+decisions and lex-least witnesses stay exact.  Each search takes a starting
+bound and a stop target, so one search finds the optimum and also decides
+the prefix tests that build the lexicographically least witness.  The
+witness loop keeps an optimal solution that holds every committed set or
+vertex and no rejected one, so a prefix test that solution already
+satisfies passes with no search.  A solve out of nodes or time raises
+``BudgetExceeded`` with certified root bounds.
 """
 
 from __future__ import annotations
@@ -157,10 +129,9 @@ class _Budget:
 
 
 class _Numbered(NamedTuple):
-    """``order[i]`` is the input index of position i, ``sets[i]`` its set, and
-    ``covers[v]`` the star of vertex v: the mask of the positions holding it."""
+    """``sets[i]`` is the set at position i, and ``covers[v]`` the star of
+    vertex v: the mask of the positions holding it."""
 
-    order: list[int]
     sets: list[Sequence[int]]
     covers: list[int]
 
@@ -169,18 +140,17 @@ def _number_sets(sets: Sequence[Sequence[int]], n: int) -> _Numbered:
     """Number the sets over vertices ``0..n-1`` shortest first, ties in input
     order.  Each star is read from a per-vertex byte row, O(m*L + n*m/8) for
     m sets of at most L vertices."""
-    order = sorted(range(len(sets)), key=lambda j: len(sets[j]))
-    ordered = [sets[j] for j in order]
+    ordered = sorted(sets, key=len)
     rows = [bytearray((len(sets) + 7) >> 3) for _ in range(n)]
     for i, vertices in enumerate(ordered):
         byte, bit = i >> 3, 1 << (i & 7)
         for v in vertices:
             rows[v][byte] |= bit
-    return _Numbered(order, ordered, [int.from_bytes(row, "little") for row in rows])
+    return _Numbered(ordered, [int.from_bytes(row, "little") for row in rows])
 
 
 # ---------------------------------------------------------------------------
-# Greedy bounds shared by both engines
+# The greedy packing, a bound for both engines
 # ---------------------------------------------------------------------------
 
 def _greedy_disjoint(uncovered: int, sets: Sequence[Sequence[int]], covers: Sequence[int]) -> int:
@@ -194,23 +164,6 @@ def _greedy_disjoint(uncovered: int, sets: Sequence[Sequence[int]], covers: Sequ
         picked |= low
         for v in sets[low.bit_length() - 1]:
             uncovered &= ~covers[v]
-    return picked
-
-
-def _greedy_cover(uncovered: int, stars: Sequence[int]) -> int:
-    # Take the star (the sets through one vertex) holding the most uncovered
-    # sets, lowest first on ties, until every set is hit: an upper bound for
-    # gt, and for gpack too, since sets through one vertex pairwise meet.
-    # Returns the mask of the star indices taken.
-    picked = 0
-    while uncovered:
-        best_i, best_c = 0, 0
-        for i, s in enumerate(stars):
-            c = (s & uncovered).bit_count()
-            if c > best_c:
-                best_c, best_i = c, i
-        uncovered &= ~stars[best_i]
-        picked |= 1 << best_i
     return picked
 
 
@@ -310,22 +263,22 @@ def _pack_search(
             if best >= target:
                 break
         slack = best - size
+        # The count test prunes nothing the fractional bound below misses:
+        # a candidate's vertices weigh at most unit in all, so spread / unit
+        # is at most the number of live candidates.  It only skips the pass.
         if cand.bit_count() <= slack:
             continue
-        stars = []
-        spread = 0
+        hold = spread = 0
         for u in range(lo, n):
             s = covers[u] & cand
             if s:
-                if not stars:
-                    v = u
-                stars.append(s)
+                if not hold:
+                    v, hold = u, s
                 spread += weights[(s & -s).bit_length() - 1]
         # Spread each packed candidate's weight of unit over its vertices: a
         # live vertex u takes at most unit / (the size of the shortest
         # candidate through u, its lowest star position), so the packing
-        # holds at most spread / unit candidates.  Stars hitting every
-        # candidate each hold at most one packed candidate.
+        # holds at most spread / unit candidates.
         if spread < (slack + 1) * unit:
             continue
         if root:
@@ -335,9 +288,6 @@ def _pack_search(
                 budget.nodes -= 1
                 stack.append((cand, packed | taken, 0))
                 continue
-        if _greedy_cover(cand, stars).bit_count() <= slack:
-            continue
-        hold = stars[0]
         stack.append((cand & ~hold, packed, v + 1))
         while hold:  # highest position first, so the shortest set pops first
             j = hold.bit_length() - 1
@@ -349,10 +299,10 @@ def _pack_search(
     return found
 
 
-def _pack(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[int, list[int] | None]:
+def _pack(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[int, list[Sequence[int]] | None]:
     """Maximum number of pairwise disjoint numbered sets, with the
-    lexicographically least optimal list of input indices when ``want_witness``."""
-    order, sets, covers = numbered
+    lexicographically least optimal list of sets when ``want_witness``."""
+    sets, covers = numbered
     m = len(sets)
     unit = math.lcm(*{len(s) for s in sets})
     weights = [unit // len(s) for s in sets]
@@ -368,14 +318,14 @@ def _pack(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[int
     value = best.bit_count()
     if not want_witness:
         return value, None
-    # Walk the sets in input order and commit each one whose remainder still
-    # fits the optimum; each prefix test is exact, so the result is the
-    # lex-least optimal list of input indices.  ``best`` stays an optimal
-    # packing that holds every committed set and no rejected one, so a set
-    # it holds passes with no search.
-    chosen: list[int] = []
+    # Walk the sets in lexicographic order (catalog order, for the sorted
+    # catalog) and commit each one whose remainder still fits the optimum;
+    # each prefix test is exact, so the result is the lex-least optimal list
+    # of sets.  ``best`` stays an optimal packing that holds every committed
+    # set and no rejected one, so a set it holds passes with no search.
+    chosen: list[Sequence[int]] = []
     committed = 0
-    for j in sorted(range(m), key=order.__getitem__):
+    for j in sorted(range(m), key=sets.__getitem__):
         if len(chosen) == value:
             break
         bit = 1 << j
@@ -391,7 +341,7 @@ def _pack(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[int
             if found is None:
                 continue
             best = committed | bit | found
-        chosen.append(order[j])
+        chosen.append(sets[j])
         committed |= bit
         cand = rest
     if len(chosen) < value:
@@ -541,10 +491,26 @@ def _hs_search(
     return found
 
 
+def _greedy_cover(uncovered: int, stars: Sequence[int]) -> int:
+    # Take the star (the sets through one vertex) holding the most uncovered
+    # sets, lowest first on ties, until every set is hit: a cover, so an
+    # upper bound for gt.  Returns the mask of the star indices taken.
+    picked = 0
+    while uncovered:
+        best_i, best_c = 0, 0
+        for i, s in enumerate(stars):
+            c = (s & uncovered).bit_count()
+            if c > best_c:
+                best_c, best_i = c, i
+        uncovered &= ~stars[best_i]
+        picked |= 1 << best_i
+    return picked
+
+
 def _cover(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[int, list[int] | None]:
     """Fewest vertices hitting every numbered set, with the lexicographically
     least optimal sorted vertex list when ``want_witness``."""
-    _, sets, covers = numbered
+    sets, covers = numbered
     n = len(covers)
     all_mask = (1 << len(sets)) - 1
     budget.lower = _greedy_disjoint(all_mask, sets, covers).bit_count()
@@ -587,9 +553,9 @@ def _cover(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[in
 # Solving a graph: one catalog, numbered once, for every requested invariant
 # ---------------------------------------------------------------------------
 
-# The numbered catalog of the last witness solve, as (key, paths, numbered)
-# with key = (n, adj, max_geodesics), or None.
-_kept: tuple[tuple, tuple[tuple[int, ...], ...], _Numbered] | None = None
+# The numbered catalog of the last witness solve, as (key, numbered) with
+# key = (n, adj, max_geodesics), or None.
+_kept: tuple[tuple, _Numbered] | None = None
 
 
 def _solve(
@@ -601,8 +567,11 @@ def _solve(
     and is enumerated and numbered otherwise; the old entry is released
     first, so two catalogs are never alive at once.  Only a witness solve
     keeps its catalog, for the next solve of the same graph and cap (a
-    report of the other invariant, say); a value-only solve keeps nothing,
-    so a sweep of ``*_value`` calls holds no catalog between calls.  A
+    report of the other invariant, say).  A value-only solve keeps nothing,
+    so a sweep of ``*_value`` calls holds no catalog between calls: copies
+    that kept one there raised perfbench ``catalog`` ``peak_rss_mb`` by 2-5 %
+    (27.5-27.9 to 28.4-28.9 MB), because the last grid's catalog stays
+    alive while the caller works between solves; no run read it again.  A
     capped catalog raises before it can be kept.  The engines only read the
     numbered state, so a kept catalog gives the same results as a fresh one.
     """
@@ -610,19 +579,18 @@ def _solve(
     started = time.monotonic()
     key = (g.n, g.adj, limits.max_geodesics)
     if _kept is not None and _kept[0] == key:
-        paths, numbered = _kept[1:]
+        numbered = _kept[1]
     else:
         _kept = None
-        paths = complete_catalog(g, limits.max_geodesics).paths
-        numbered = _number_sets(paths, g.n)
+        numbered = _number_sets(complete_catalog(g, limits.max_geodesics).paths, g.n)
         if want_witness:
-            _kept = (key, paths, numbered)
+            _kept = (key, numbered)
     results = []
     for invariant in invariants:
         budget = _Budget(f"{invariant} search", limits)
         if invariant == "gpack":
-            value, idxs = _pack(numbered, budget, want_witness)
-            witness = None if idxs is None else Packing(tuple(Geodesic(paths[i]) for i in idxs))
+            value, chosen = _pack(numbered, budget, want_witness)
+            witness = None if chosen is None else Packing(tuple(Geodesic(p) for p in chosen))
         else:
             value, vertices = _cover(numbered, budget, want_witness)
             witness = None if vertices is None else Transversal(tuple(vertices))

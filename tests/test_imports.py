@@ -100,3 +100,11 @@ def test_benchmark_imports_resolve():
                 module = importlib.import_module(node.module)
                 missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
     assert scripts and missing == []
+
+
+def test_benchmark_selftest_catches_every_corruption(monkeypatch):
+    # The benchmark's checks read witness.geodesics, p.vertices,
+    # witness.vertices and the tree pairs; a record change that blinds them
+    # fails here before it fails a benchmark run.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    assert importlib.import_module("selftest").run() == []

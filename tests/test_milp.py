@@ -32,34 +32,46 @@ def _milp(objective, matrix, lower, upper) -> int:
     return round(abs(res.fun))
 
 
-def _connected_draws(count: int, p: float, rng: random.Random):
+def _connected_draws(count: int, p: float, rng: random.Random, sizes: range):
     for k in range(count):
         while True:
-            g = random_graph(20 + k % 5, p, rng)
+            g = random_graph(sizes[k % len(sizes)], p, rng)
             if math.inf not in gp.all_pairs_distances(g)[0]:
                 yield g
                 break
 
 
+def _check_against_highs(g: gp.Graph) -> None:
+    geos = gp.enumerate_maximal_geodesics(g).geodesics
+    m = len(geos)
+    rows = [v for p in geos for v in p.vertices]
+    cols = [j for j, p in enumerate(geos) for _ in p.vertices]
+    incidence = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, m))
+
+    value, packing = gp.gpack_exact(g)
+    assert value == _milp(-np.ones(m), incidence, -np.inf, 1)
+    assert packing.size == value
+    used: set[int] = set()
+    for p in packing.geodesics:
+        assert p in geos and gp.is_maximal_geodesic(g, p)
+        assert not used.intersection(p.vertices)
+        used.update(p.vertices)
+
+    value, transversal = gp.gt_exact(g)
+    assert value == _milp(np.ones(g.n), incidence.T.tocsr(), 1, np.inf)
+    assert transversal.size == value
+    assert all(set(transversal.vertices).intersection(p.vertices) for p in geos)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_solvers_match_highs_on_random_graphs(seed):
-    for g in _connected_draws(3, 0.2, random.Random(seed)):
-        geos = gp.enumerate_maximal_geodesics(g).geodesics
-        m = len(geos)
-        rows = [v for p in geos for v in p.vertices]
-        cols = [j for j, p in enumerate(geos) for _ in p.vertices]
-        incidence = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, m))
+    for g in _connected_draws(3, 0.2, random.Random(seed), range(20, 25)):
+        _check_against_highs(g)
 
-        value, packing = gp.gpack_exact(g)
-        assert value == _milp(-np.ones(m), incidence, -np.inf, 1)
-        assert packing.size == value
-        used: set[int] = set()
-        for p in packing.geodesics:
-            assert p in geos and gp.is_maximal_geodesic(g, p)
-            assert not used.intersection(p.vertices)
-            used.update(p.vertices)
 
-        value, transversal = gp.gt_exact(g)
-        assert value == _milp(np.ones(g.n), incidence.T.tocsr(), 1, np.inf)
-        assert transversal.size == value
-        assert all(set(transversal.vertices).intersection(p.vertices) for p in geos)
+@pytest.mark.slow
+def test_solvers_match_highs_at_n_31_to_40():
+    # Sparse draws on 31, 34, 37 and 40 vertices, with catalogs of several
+    # hundred entries.
+    for g in _connected_draws(4, 0.15, random.Random(1), range(31, 41, 3)):
+        _check_against_highs(g)

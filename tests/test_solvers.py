@@ -168,7 +168,7 @@ def test_reduce_forces_and_drops_the_higher_of_equal_stars(spec, picked_without_
     # star's leaves are left to the search; with every vertex forbidden
     # nothing hits the sets.
     g = gp.generate(gp.parse_family(spec))
-    _, sets, covers = gp.solvers._number_sets(gp.enumerate_maximal_geodesics(g).paths, g.n)
+    sets, covers = gp.solvers._number_sets(gp.enumerate_maximal_geodesics(g).paths, g.n)
     everything = (1 << len(sets)) - 1
     assert gp.solvers._reduce(everything, 0, 0, sets, covers) == (0, 0b11111, 0b1)
     assert gp.solvers._reduce(everything, 0b1, 0, sets, covers)[2] == picked_without_0
@@ -181,7 +181,7 @@ def test_take_hubs_takes_a_set_through_a_hub(spec, reduces):
     # one is taken and the centre's star dropped; path:5 has one maximal
     # geodesic.  In cycle:5 no vertex lies on every set meeting another.
     g = gp.generate(gp.parse_family(spec))
-    _, sets, covers = gp.solvers._number_sets(gp.enumerate_maximal_geodesics(g).paths, g.n)
+    sets, covers = gp.solvers._number_sets(gp.enumerate_maximal_geodesics(g).paths, g.n)
     everything = (1 << len(sets)) - 1
     assert gp.solvers._take_hubs(everything, sets, covers) == ((0, 0b1) if reduces else (everything, 0))
 
@@ -194,7 +194,7 @@ def test_take_hubs_keeps_the_optimum(family):
     # a largest packing of the family.
     from oracles import brute_lex_least_packing
 
-    _, sets, covers = gp.solvers._number_sets([sorted(f) for f in family], 7)
+    sets, covers = gp.solvers._number_sets([sorted(f) for f in family], 7)
     everything = (1 << len(sets)) - 1
 
     def largest(mask):
@@ -434,6 +434,9 @@ def test_solver_properties_at_n_15_to_30(g):
         assert p.vertices in catalog and gp.is_maximal_geodesic(g, p)
         assert not used.intersection(p.vertices)
         used.update(p.vertices)
+    # A largest packing is inclusion-maximal, so its vertices hit every entry:
+    # gt <= |used| <= gpack * (the order of the longest entry).
+    assert cold[1].value <= len(used) and all(used.intersection(p) for p in paths)
     chosen = set(transversal.vertices)
     assert transversal.size == cold[1].value and all(chosen.intersection(p) for p in paths)
 

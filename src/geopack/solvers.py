@@ -10,9 +10,12 @@ report of the other invariant on the same graph and cap.
 
 Both engines are branch and bound, as gpack is NP-complete: ``_pack`` packs
 pairwise disjoint sets (gpack, and the induced-P3 packing of the reduction)
-and ``_cover`` finds a minimum hitting set (gt).  Each reduces only at the
-root of a search, by rules that keep every optimum, so values, prefix
-decisions and lex-least witnesses stay exact.  Each search takes a starting
+and ``_cover`` finds a minimum hitting set (gt).  Both reduce only at the
+root of a search, by one routine, ``_reduce``, with the two hitting-set
+rules: drop a vertex another one dominates, and settle a set with one
+vertex left (forced into the cover, or taken into the packing through its
+hub).  The rules keep every optimum, so values, prefix decisions and
+lex-least witnesses stay exact.  Each search takes a starting
 bound and a stop target, so one search finds the optimum and also decides
 the prefix tests that build the lexicographically least witness.  The
 witness loop keeps an optimal solution that holds every committed set or
@@ -168,57 +171,71 @@ def _greedy_disjoint(uncovered: int, sets: Sequence[Sequence[int]], covers: Sequ
 
 
 # ---------------------------------------------------------------------------
-# Packing engine: pairwise disjoint sets (gpack, induced P3 packing)
+# The root reduction, one for both engines
 # ---------------------------------------------------------------------------
 
-def _take_hubs(cand: int, sets: Sequence[Sequence[int]], covers: Sequence[int]) -> tuple[int, int]:
-    """Take each live candidate A with a hub until none is left.
+def _reduce(
+    live: int, forbidden: int, sets: Sequence[Sequence[int]], covers: Sequence[int]
+) -> tuple[int, int, int, int]:
+    """Drop dominated vertices and settle single sets until no set is single.
 
-    A hub of A is a vertex w of A on every live candidate meeting A, so A's
-    live neighbourhood is w's live star.  A packing holds at most one
-    candidate through w, and A can replace it, so taking A and dropping w's
-    live star keeps the optimum for every size.  A vertex w is a hub of A
-    exactly when the live star of every vertex of A lies in w's; all such w
-    of a vertex u lie on u's lowest live candidate, so only its vertices are
-    tested.  A candidate with two vertices no other vertex dominates has no
-    hub and is skipped unread.  Dropping sets shrinks every star alike and
-    keeps each containment, so a sweep takes every candidate it finds with a
-    hub that is still live.  Returns the reduced ``cand`` and the mask of
-    the candidates taken.
+    These are Weihe's two hitting-set reductions (*Covering trains by
+    stations or the power of data reduction*, 1998).  A vertex is allowed
+    while ``forbidden`` lacks it, and its live star is the ``live`` sets
+    through it.  An allowed v is dominated, and joins ``forbidden``, when its
+    live star is empty or lies in another allowed vertex's; of two equal
+    stars the higher vertex goes.  Such a dominator lies on v's lowest live
+    set, so only that set's vertices are tested.  A live set with one allowed
+    vertex r left is single: r joins ``picked``, the set joins ``taken``, and
+    r's star leaves ``live``.  Containment survives deletion, so a vertex
+    dropped once stays dropped.  Returns ``(live, forbidden, picked, taken)``.
+
+    For a hitting set, r is forced and a dominated vertex can give way to its
+    dominator, so ``picked`` and a smallest allowed hitting set of ``live``
+    make a smallest allowed hitting set of the input, for every size.  For a
+    packing (``forbidden`` 0), r dominates every vertex of its set A, so the
+    live sets meeting A are r's live star: a packing holds at most one of
+    them and A can replace it, so ``taken`` and a largest packing of ``live``
+    make a largest packing.  A set with no allowed vertex is never single; it
+    stays live for the search to refute.
     """
-    taken = 0
-    while cand:
-        stars = [s & cand for s in covers]
-        hubs = [0] * len(covers)
-        once = twice = 0  # the candidates through one, and through two, undominated vertices
-        for u, star in enumerate(stars):
+    picked = taken = 0
+    while True:
+        stars = [0 if forbidden >> v & 1 else s & live for v, s in enumerate(covers)]
+        once = twice = 0  # the live sets through one, and through two, undominated vertices
+        for v, star in enumerate(stars):
             if star:
-                h = 0
-                for w in sets[(star & -star).bit_length() - 1]:
-                    if not star & ~stars[w]:
-                        h |= 1 << w
-                hubs[u] = h
-                if h == 1 << u:
+                # u = v fails the tie test, and a dropped u has star 0.
+                for u in sets[(star & -star).bit_length() - 1]:
+                    other = stars[u]
+                    if not star & ~other and (u < v or star != other):
+                        break
+                else:
                     twice |= once & star
                     once |= star
-        rest = cand & ~twice
-        swept = taken
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if cand & low:
-                vertices = sets[low.bit_length() - 1]
-                common = -1
-                for u in vertices:
-                    common &= hubs[u]
-                if common:
-                    taken |= low
-                    for u in vertices:
-                        cand &= ~covers[u]
-        if taken == swept:
-            break
-    return cand, taken
+                    continue
+            elif forbidden >> v & 1:
+                continue
+            forbidden |= 1 << v
+            stars[v] = 0
+        single = once & ~twice
+        if not single:
+            return live, forbidden, picked, taken
+        while single:
+            low = single & -single
+            single ^= low
+            if live & low:
+                for r in sets[low.bit_length() - 1]:
+                    if not forbidden >> r & 1:
+                        break
+                picked |= 1 << r
+                taken |= low
+                live &= ~covers[r]
 
+
+# ---------------------------------------------------------------------------
+# Packing engine: pairwise disjoint sets (gpack, induced P3 packing)
+# ---------------------------------------------------------------------------
 
 def _pack_search(
     sets: Sequence[Sequence[int]],
@@ -241,10 +258,12 @@ def _pack_search(
     of the candidates through v, shortest first, joins the packing, or v
     stays unused.  ``weights[j]`` is ``unit // len(sets[j])``, with ``unit``
     the lcm of the set sizes.  The root node, once past the count and
-    fractional bounds, runs ``_take_hubs`` and searches the reduced instance
-    as the same node; a reduction that empties ``cand`` settles the search
-    in that one node.  Reducing before those bounds cost more than it saved
-    where they prune the root, as in most prefix tests on diagonal grids.
+    fractional bounds, runs ``_reduce`` (drop dominated vertices, take each
+    set with one undominated vertex left, a hub) and searches the reduced
+    instance as the same node; a reduction that empties ``cand`` settles the
+    search in that one node.  Reducing before those bounds cost more than it
+    saved where they prune the root, as in most prefix tests on diagonal
+    grids.
     """
     found = None
     if best < 0:  # the empty packing always exists
@@ -283,7 +302,7 @@ def _pack_search(
             continue
         if root:
             root = False
-            cand, taken = _take_hubs(cand, sets, covers)
+            cand, _, _, taken = _reduce(cand, 0, sets, covers)
             if taken:  # the reduced root is this same node, searched again
                 budget.nodes -= 1
                 stack.append((cand, packed | taken, 0))
@@ -353,77 +372,6 @@ def _pack(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[int
 # Hitting-set engine (gt)
 # ---------------------------------------------------------------------------
 
-def _allowed_hits(forbidden: int, covers: Sequence[int]) -> tuple[int, int]:
-    # The sets holding at least one (once) and at least two (twice) allowed
-    # vertices, from one pass over the allowed stars.
-    once = twice = 0
-    for v, star in enumerate(covers):
-        if not (forbidden >> v) & 1:
-            twice |= once & star
-            once |= star
-    return once, twice
-
-
-def _reduce(
-    uncovered: int,
-    forbidden: int,
-    picked: int,
-    sets: Sequence[Sequence[int]],
-    covers: Sequence[int],
-) -> tuple[int, int, int] | None:
-    """Apply the forced-vertex and dominated-vertex rules until neither fires.
-
-    A set with one allowed vertex left forces that vertex into ``picked``; a
-    set with none makes the instance infeasible (None).  An allowed vertex v
-    is dropped (forbidden) when its star misses ``uncovered``, or when an
-    allowed u != v hits every uncovered set v hits; of two equal stars only
-    the higher vertex goes.  Such a u lies on v's lowest uncovered set, so
-    only that set's vertices are tested.  Neither rule changes whether the
-    uncovered sets can be hit with at most k allowed vertices beyond
-    ``picked``, for any k.  Returns the reduced ``(uncovered, forbidden,
-    picked)``.
-    """
-    n = len(covers)
-    once, twice = _allowed_hits(forbidden, covers)
-    if uncovered & ~once:
-        return None
-    while True:
-        forced = uncovered & ~twice
-        while forced:
-            low = forced & -forced
-            forced ^= low
-            if uncovered & low:
-                for v in sets[low.bit_length() - 1]:
-                    if not (forbidden >> v) & 1:
-                        picked |= 1 << v
-                        uncovered &= ~covers[v]
-                        break
-        # One sweep leaves no dominated vertex: dropping a vertex changes no
-        # star, so only forcing (a smaller ``uncovered``) can dominate anew.
-        # A forbidden u has star 0, and u = v fails the tie test.  A forced
-        # vertex now misses ``uncovered`` and is dropped here.
-        stars = [0 if (forbidden >> v) & 1 else covers[v] & uncovered for v in range(n)]
-        dominated = False
-        for v, star in enumerate(stars):
-            if star:
-                for u in sets[(star & -star).bit_length() - 1]:
-                    other = stars[u]
-                    if not star & ~other and (u < v or star != other):
-                        dominated = True
-                        break
-                else:
-                    continue
-            elif (forbidden >> v) & 1:
-                continue
-            forbidden |= 1 << v
-            stars[v] = 0
-        if not dominated:
-            return uncovered, forbidden, picked
-        twice = _allowed_hits(forbidden, covers)[1]
-        if not uncovered & ~twice:
-            return uncovered, forbidden, picked
-
-
 def _hs_search(
     uncovered: int,
     forbidden: int,
@@ -441,13 +389,14 @@ def _hs_search(
     and ``target = 0`` it finds the optimum; with ``best = limit + 1`` and
     ``target = limit`` it decides whether ``limit`` vertices suffice and finds
     such a cover.  The root node, once past the greedy bound, runs
-    ``_reduce`` and searches the reduced instance; a reduction that hits
-    every set settles the search with no further node.  Only the root
-    reduces: on small random graphs the dominated rule would fire at two
+    ``_reduce`` (drop dominated vertices, force the vertex of each set with
+    one allowed vertex left) and searches the reduced instance; a reduction
+    that hits every set settles the search with no further node.  Only the
+    root reduces: on small random graphs the dominated rule would fire at two
     nodes in three below it, but applying the rules there cut nodes by a
     fifth and took 1.5 times as long.  Each node branches on the lowest
     uncovered set with at most one allowed vertex, else on the lowest
-    uncovered set, from the once/twice pass the forced rule also reads.
+    uncovered set; a pick with no allowed vertex prunes the node.
     """
     if not uncovered:
         return 0
@@ -465,10 +414,7 @@ def _hs_search(
                 continue
             if root:
                 root = False
-                reduced = _reduce(uncovered, forbidden, picked, sets, covers)
-                if reduced is None:
-                    break
-                uncovered, forbidden, picked = reduced
+                uncovered, forbidden, picked, _ = _reduce(uncovered, forbidden, sets, covers)
                 count = picked.bit_count()
         if not uncovered:
             if count < best:
@@ -476,7 +422,11 @@ def _hs_search(
                 if best <= target:
                     break
             continue
-        twice = _allowed_hits(forbidden, covers)[1]
+        once = twice = 0  # the sets through one, and through two, allowed vertices
+        for v, star in enumerate(covers):
+            if not forbidden >> v & 1:
+                twice |= once & star
+                once |= star
         pick = uncovered & ~twice or uncovered
         allowed = [v for v in sets[(pick & -pick).bit_length() - 1] if not (forbidden >> v) & 1]
         if not allowed:

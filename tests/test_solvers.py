@@ -166,33 +166,43 @@ def test_reduce_forces_and_drops_the_higher_of_equal_stars(spec, picked_without_
     # vertex 0 survives, and it is forced.  In star:4 the centre 0 dominates
     # every leaf.  With vertex 0 forbidden the path forces vertex 1 and the
     # star's leaves are left to the search; with every vertex forbidden
-    # nothing hits the sets.
+    # nothing hits the sets, the reduction leaves them live and picks
+    # nothing, and the search finds no cover.
     g = gp.generate(gp.parse_family(spec))
     sets, covers = gp.solvers._number_sets(gp.enumerate_maximal_geodesics(g).paths, g.n)
     everything = (1 << len(sets)) - 1
-    assert gp.solvers._reduce(everything, 0, 0, sets, covers) == (0, 0b11111, 0b1)
-    assert gp.solvers._reduce(everything, 0b1, 0, sets, covers)[2] == picked_without_0
-    assert gp.solvers._reduce(everything, 0b11111, 0, sets, covers) is None
+    assert gp.solvers._reduce(everything, 0, sets, covers)[:3] == (0, 0b11111, 0b1)
+    assert gp.solvers._reduce(everything, 0b1, sets, covers)[2] == picked_without_0
+    assert gp.solvers._reduce(everything, 0b11111, sets, covers) == (everything, 0b11111, 0, 0)
+    budget = gp.solvers._Budget("gt search", gp.SolveLimits())
+    assert gp.solvers._hs_search(everything, 0b11111, g.n + 1, 0, sets, covers, budget) is None
 
 
 @pytest.mark.parametrize("spec, reduces", [("star:4", True), ("path:5", True), ("cycle:5", False)])
-def test_take_hubs_takes_a_set_through_a_hub(spec, reduces):
+def test_reduce_takes_a_set_through_a_hub(spec, reduces):
     # Every leaf-to-leaf path of star:4 runs through the centre, so the first
     # one is taken and the centre's star dropped; path:5 has one maximal
     # geodesic.  In cycle:5 no vertex lies on every set meeting another.
     g = gp.generate(gp.parse_family(spec))
     sets, covers = gp.solvers._number_sets(gp.enumerate_maximal_geodesics(g).paths, g.n)
     everything = (1 << len(sets)) - 1
-    assert gp.solvers._take_hubs(everything, sets, covers) == ((0, 0b1) if reduces else (everything, 0))
+    live, _, _, taken = gp.solvers._reduce(everything, 0, sets, covers)
+    assert (live, taken) == ((0, 0b1) if reduces else (everything, 0))
 
 
-@given(st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=9))
+@given(
+    st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=9),
+    st.integers(0, 7),
+)
 @settings(max_examples=300)
-def test_take_hubs_keeps_the_optimum(family):
+def test_reduce_keeps_the_optimum(family, k):
     # The packing engine packs any vertex sets.  The taken sets are pairwise
     # disjoint, meet no set left, and with a largest packing of the rest make
-    # a largest packing of the family.
-    from oracles import brute_lex_least_packing
+    # a largest packing of the family.  With the vertices below k forbidden,
+    # the picked vertices are allowed, hit every set they settled, and with a
+    # smallest allowed hitting set of the rest make a smallest allowed
+    # hitting set of the family; or neither family has one.
+    from oracles import brute_lex_least_hitting, brute_lex_least_packing
 
     sets, covers = gp.solvers._number_sets([sorted(f) for f in family], 7)
     everything = (1 << len(sets)) - 1
@@ -200,11 +210,24 @@ def test_take_hubs_keeps_the_optimum(family):
     def largest(mask):
         return len(brute_lex_least_packing([set(sets[j]) for j in range(len(sets)) if mask >> j & 1]))
 
-    rest, taken = gp.solvers._take_hubs(everything, sets, covers)
+    rest, _, _, taken = gp.solvers._reduce(everything, 0, sets, covers)
     used = [v for j in range(len(sets)) if taken >> j & 1 for v in sets[j]]
     assert len(used) == len(set(used))
     assert not any(set(sets[j]) & set(used) for j in range(len(sets)) if rest >> j & 1)
     assert taken.bit_count() + largest(rest) == largest(everything)
+
+    def smallest(mask, forbidden):
+        gone = {v for v in range(7) if forbidden >> v & 1}
+        allowed = [set(sets[j]) - gone for j in range(len(sets)) if mask >> j & 1]
+        return None if set() in allowed else len(brute_lex_least_hitting(allowed, 7))
+
+    prefix = (1 << k) - 1
+    live, forbidden, picked, _ = gp.solvers._reduce(everything, prefix, sets, covers)
+    chosen = {v for v in range(7) if picked >> v & 1}
+    assert not picked & prefix
+    assert all(chosen & set(sets[j]) for j in range(len(sets)) if (everything & ~live) >> j & 1)
+    reduced = smallest(live, forbidden)
+    assert (None if reduced is None else len(chosen) + reduced) == smallest(everything, prefix)
 
 
 def test_gpack_witness_is_lex_least_on_small_trees(small_trees):
@@ -229,8 +252,14 @@ def test_gpack_on_a_300_vertex_tree():
 
 @pytest.mark.slow
 def test_gpack_on_a_1000_vertex_tree():
+    # The value search ends in its root node; the witness took 1,225 nodes.
     t = gp.random_tree(1000, random.Random(1))
     assert gp.gpack_value(t, gp.SolveLimits(node_budget=1)) == gp.gpack_tree(t)[0] == 161
+    packing = gp.gpack_report(t, gp.SolveLimits(node_budget=2_000, time_budget=120)).witness
+    assert packing.size == 161
+    used = [v for p in packing.geodesics for v in p.vertices]
+    assert len(used) == len(set(used))
+    assert {p.vertices for p in packing.geodesics} <= set(gp.enumerate_maximal_geodesics(t).paths)
 
 
 def test_gt_witness_is_lex_least_on_small_trees(small_trees):

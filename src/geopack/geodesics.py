@@ -14,11 +14,13 @@ DEFAULT_CAP = 100_000
 INF = math.inf
 
 
-def _bfs(adj: Sequence[Sequence[int]], source: int) -> tuple[list[float], list[int], int]:
-    """One BFS: the distance row, the reached vertices in BFS order (layer by
-    layer), and the mask of the sinks, the reached vertices with no neighbour
-    one layer further out."""
-    dist = [INF] * len(adj)
+def _bfs(adj: Sequence[Sequence[int]], source: int) -> tuple[list[int], list[int], int]:
+    """One BFS: the distance row, holding ``len(adj)`` at unreached vertices
+    (no reached vertex is that far), the reached vertices in BFS order (layer
+    by layer), and the mask of the sinks, the reached vertices with no
+    neighbour one layer further out."""
+    n = len(adj)
+    dist = [n] * n
     dist[source] = 0
     order = [source]
     sinks = 0
@@ -27,12 +29,11 @@ def _bfs(adj: Sequence[Sequence[int]], source: int) -> tuple[list[float], list[i
         sink = True
         for y in adj[x]:
             dy = dist[y]
-            if dy == INF:
-                dist[y] = d1
-                order.append(y)
+            if dy >= d1:  # one layer further out, or unreached
                 sink = False
-            elif dy == d1:
-                sink = False
+                if dy > d1:
+                    dist[y] = d1
+                    order.append(y)
         if sink:
             sinks |= 1 << x
     return dist, order, sinks
@@ -82,7 +83,8 @@ def _cut_vertices(adj: Sequence[Sequence[int]]) -> int:
 
 def all_pairs_distances(g: Graph) -> tuple[tuple[float, ...], ...]:
     """The BFS distance row of every vertex; unreachable pairs hold ``math.inf``."""
-    return tuple(tuple(_bfs(g.adj, s)[0]) for s in range(g.n))
+    n = g.n
+    return tuple(tuple(INF if d == n else d for d in _bfs(g.adj, s)[0]) for s in range(n))
 
 
 class _GeodesicFields(NamedTuple):  # a NamedTuple body cannot override __new__
@@ -185,10 +187,12 @@ def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCat
     own sink and contributes the single-vertex geodesic (u,).  A cut vertex
     is a sink of no BFS, so only the k vertices that are not cut vertices
     (in a tree, the leaves) are sources.  For each source with partners
-    v >= u, a reverse sweep of its layers keeps the vertices on a geodesic
-    to a partner, and one depth-first walk from u lists the geodesics,
-    lowest neighbour first.  The catalog comes out sorted with no sort step,
-    and the work is O(k*|E|) plus the size of the output, after one
+    v >= u, a reverse sweep of its layers, seeded with the partners, pushes
+    each vertex on a geodesic to a partner onto its neighbours one layer
+    closer to u (Brandes' accumulation over the shortest-path DAG), so a
+    vertex on none scans no edge; one depth-first walk from u then lists
+    the geodesics, lowest neighbour first, so the catalog comes out
+    sorted.  The work is O(k*|E|) plus the size of the output, after one
     lowpoint DFS for the cut vertices.  If there are more than ``cap``
     entries the catalog holds the lexicographically first ``cap`` of them
     with ``complete=False``; ``complete_catalog`` refuses such a catalog.
@@ -221,18 +225,23 @@ def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCat
             sources.append((u, partners, dist, order))
     paths: list[tuple[int, ...]] = []
     for u, partners, dist, order in reversed(sources):
-        # Sweep u's layers from the outermost inward, keeping the partners and
-        # each vertex with a kept neighbour one layer further out: the kept
-        # vertices are those on a geodesic from u to a partner.
-        succ: dict[int, Sequence[int]] = {}
+        # Sweep u's layers from the outermost inward, starting from the
+        # partners: each kept vertex joins the kids of its neighbours one layer
+        # closer to u, and so keeps them.  The kept vertices are those on a
+        # geodesic from u to a partner; any other costs one membership test.
+        succ: dict[int, list[int]] = {v: [] for v in partners}
         for x in reversed(order):
-            if x in partners:
-                succ[x] = ()
-            else:
-                d1 = dist[x] + 1
-                kids = [y for y in adj[x] if y in succ and dist[y] == d1]
-                if kids:
-                    succ[x] = kids
+            if x in succ:
+                d = dist[x] - 1
+                for y in adj[x]:
+                    if dist[y] == d:
+                        if y in succ:
+                            succ[y].append(x)
+                        else:
+                            succ[y] = [x]
+        for kids in succ.values():
+            if len(kids) > 1:
+                kids.sort()
         # Depth first from u, lowest successor first: preorder is lexicographic
         # order, and every step lies on a geodesic the walk emits.  The root
         # level holds u alone and adds nothing to the path, so an isolated u

@@ -54,6 +54,18 @@ def test_disconnected_distance_is_infinite():
     assert rows[0][2] == math.inf
 
 
+@given(graphs_st(max_n=8))
+def test_bfs_rows_order_and_sinks(g):
+    for s in range(g.n):
+        dist, order, sinks = gp.geodesics._bfs(g.adj, s)
+        reached = bfs_distances(g, s)
+        assert dist == [reached.get(v, g.n) for v in range(g.n)]
+        assert order[0] == s and sorted(order) == sorted(reached)
+        assert all(dist[a] <= dist[b] for a, b in zip(order, order[1:]))
+        outward = {x for x in reached for y in g.adj[x] if reached[y] == reached[x] + 1}
+        assert sinks == sum(1 << x for x in reached if x not in outward)
+
+
 @given(graphs_st(max_n=7))
 def test_distance_table_axioms(g):
     rows = gp.all_pairs_distances(g)
@@ -329,6 +341,12 @@ def test_catalog_matches_networkx_beyond_bruteforce():
     graphs.append(gp.diagonal_grid((5, 6)))
     # A path's only partners are its ends; every vertex of an odd cycle has two sinks.
     graphs += [gp.path_graph(200), gp.cycle_graph(201)]
+    # Dense inputs, where most arcs run backward or within a layer.
+    graphs.append(gp.diagonal_grid((3, 3, 3)))
+    graphs += [gp.generate(gp.parse_family(f)) for f in ("rook:5", "complete_bipartite:6,7")]
+    graphs += [random_graph(20, 0.6, random.Random(s)) for s in range(2)]
+    # Two components, a 4-cycle and a triangle with a pendant, and isolated 0, 5 and 10.
+    graphs.append(gp.Graph.from_edges(11, [(1, 2), (2, 3), (3, 4), (1, 4), (6, 7), (7, 8), (6, 8), (8, 9)]))
     for g in graphs:
         catalog = gp.enumerate_maximal_geodesics(g)
         assert catalog.complete
@@ -344,6 +362,12 @@ def test_catalog_matches_networkx_on_a_large_tree():
 @pytest.mark.slow
 def test_catalog_matches_networkx_on_a_benchmark_grid():
     g = gp.diagonal_grid((7, 7))  # 6.8k maximal geodesics
+    assert list(gp.enumerate_maximal_geodesics(g).paths) == nx_maximal_geodesics(g)
+
+
+@pytest.mark.slow
+def test_catalog_matches_networkx_on_a_dense_benchmark_grid():
+    g = gp.diagonal_grid((3, 3, 3, 3))  # 16,448 maximal geodesics on 1,160 edges
     assert list(gp.enumerate_maximal_geodesics(g).paths) == nx_maximal_geodesics(g)
 
 

@@ -192,3 +192,46 @@ def brute_lex_least_hitting(sets: list[set[int]], n: int) -> tuple[int, ...]:
             if all(chosen & s for s in sets):
                 return subset
     raise AssertionError("unreachable")
+
+
+def reduce_reference(live: int, forbidden: int, sets, covers) -> tuple[int, int, int, int]:
+    """The root reduction as first written: every round rebuilds all n live
+    stars and tests every vertex, forbidden ones included.
+
+    It drops each allowed vertex whose live star is empty or lies in another
+    allowed vertex's (of equal stars the higher goes), then settles each live
+    set with one allowed vertex r left (r joins ``picked``, the set
+    ``taken``, r's star leaves ``live``), until no set is single.  Returns
+    ``(live, forbidden, picked, taken)``.
+    """
+    picked = taken = 0
+    while True:
+        stars = [0 if forbidden >> v & 1 else s & live for v, s in enumerate(covers)]
+        once = twice = 0
+        for v, star in enumerate(stars):
+            if star:
+                for u in sets[(star & -star).bit_length() - 1]:
+                    other = stars[u]
+                    if not star & ~other and (u < v or star != other):
+                        break
+                else:
+                    twice |= once & star
+                    once |= star
+                    continue
+            elif forbidden >> v & 1:
+                continue
+            forbidden |= 1 << v
+            stars[v] = 0
+        single = once & ~twice
+        if not single:
+            return live, forbidden, picked, taken
+        while single:
+            low = single & -single
+            single ^= low
+            if live & low:
+                for r in sets[low.bit_length() - 1]:
+                    if not forbidden >> r & 1:
+                        break
+                picked |= 1 << r
+                taken |= low
+                live &= ~covers[r]

@@ -230,6 +230,56 @@ def test_reduce_keeps_the_optimum(family, k):
     assert (None if reduced is None else len(chosen) + reduced) == smallest(everything, prefix)
 
 
+@st.composite
+def reduce_instances(draw):
+    n = draw(st.integers(1, 9))
+    family = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=14))
+    sets, covers = gp.solvers._number_sets([sorted(f) for f in family], n)
+    live = draw(st.integers(0, (1 << len(sets)) - 1))
+    forbidden = draw(st.one_of(
+        st.just(0),
+        st.integers(0, (1 << n) - 1),
+        st.integers(0, n).map(lambda k: (1 << k) - 1),  # a gt prefix test
+    ))
+    return live, forbidden, sets, covers
+
+
+@given(reduce_instances())
+@settings(max_examples=500)
+def test_reduce_matches_the_all_vertex_reference(instance):
+    # Visiting only the vertices still in play gives the fixpoint of the
+    # routine that rebuilds every star and tests every vertex each round.
+    from oracles import reduce_reference
+
+    assert gp.solvers._reduce(*instance) == reduce_reference(*instance)
+
+
+# (kind, seed, gpack value, gpack report nodes, gt value, gt report nodes)
+PINNED_NODES = [
+    ("tree", 0, 7, 19, 7, 21),
+    ("graph", 0, 5, 91, 7, 247),
+    ("tree", 1, 8, 6, 8, 12),
+    ("graph", 1, 5, 18, 6, 42),
+    ("tree", 2, 7, 9, 7, 22),
+    ("graph", 2, 4, 133, 7, 165),
+    ("tree", 3, 8, 27, 8, 25),
+    ("graph", 3, 4, 39, 6, 186),
+    ("tree", 4, 7, 13, 7, 15),
+    ("graph", 4, 5, 5, 8, 271),
+]
+
+
+@pytest.mark.parametrize("kind, seed, gpack, gpack_nodes, gt, gt_nodes", PINNED_NODES)
+def test_report_nodes_are_pinned(kind, seed, gpack, gpack_nodes, gt, gt_nodes):
+    # Search-node counts are deterministic, so exact pins catch any change
+    # to the searches, the bounds or the reduction that the values miss.
+    rng = random.Random(seed)
+    g = gp.random_tree(42, rng) if kind == "tree" else random_graph(18, 0.25, rng)
+    packing, transversal = gp.gpack_report(g), gp.gt_report(g)
+    assert (packing.value, packing.stats.nodes) == (gpack, gpack_nodes)
+    assert (transversal.value, transversal.stats.nodes) == (gt, gt_nodes)
+
+
 def test_gpack_witness_is_lex_least_on_small_trees(small_trees):
     from oracles import brute_lex_least_packing
 

@@ -23,7 +23,6 @@ from .geodesics import (
     Geodesic,
     GeodesicCatalog,
     all_pairs_distances,
-    catalog_to_json,
     complete_catalog,
     enumerate_maximal_geodesics,
     is_geodesic,
@@ -49,7 +48,6 @@ from .graphs import (
     diagonal_grid,
     generate,
     graph_to_edge_list,
-    graph_to_json,
     parse_edge_list,
     parse_family,
     path_graph,
@@ -66,11 +64,9 @@ from .solvers import (
     SolveResult,
     Transversal,
     duality_check,
-    gpack_exact,
     gpack_report,
     gpack_upper_bound,
     gpack_value,
-    gt_exact,
     gt_report,
     gt_value,
     induced_p3_packing_exact,
@@ -79,7 +75,6 @@ from .solvers import (
 )
 from .trees import (
     LeafPairSet,
-    find_end_support_vertex,
     gpack_tree,
     is_tree,
     random_tree,
@@ -117,7 +112,6 @@ __all__ = [
     "Unsupported",
     "all_pairs_distances",
     "cartesian_product",
-    "catalog_to_json",
     "complete_bipartite_graph",
     "complete_catalog",
     "complete_graph",
@@ -127,17 +121,13 @@ __all__ = [
     "diagonal_grid_packing",
     "duality_check",
     "enumerate_maximal_geodesics",
-    "find_end_support_vertex",
     "formula_value",
     "generate",
-    "gpack_exact",
     "gpack_report",
     "gpack_tree",
     "gpack_upper_bound",
     "gpack_value",
     "graph_to_edge_list",
-    "graph_to_json",
-    "gt_exact",
     "gt_report",
     "gt_value",
     "induced_p3_packing_exact",

@@ -4,8 +4,10 @@ Subcommands: compute, enumerate, generate, verify, ratio, tree.  Exit codes:
 0 success, 1 verification failure (even beside a budget stop), 2 input
 error, 3 budget exceeded, 141 stdout closed by its reader (128 + SIGPIPE;
 no message).
-JSON output is byte-deterministic for a fixed input and seed (timings are
-suppressed there; text mode reports them).
+This module owns the JSON output format: the private ``_*_json`` helpers
+turn the library's records into the documents it prints, so no other module
+imports ``json``.  JSON output is byte-deterministic for a fixed input and
+seed (timings are suppressed there; text mode reports them).
 """
 
 from __future__ import annotations
@@ -17,24 +19,10 @@ import sys
 
 from . import SUITE_NAMES
 from .errors import BudgetExceeded, DomainError, ParseError, SpecError
-from .geodesics import catalog_to_json_dict, enumerate_maximal_geodesics
-from .graphs import (
-    FamilySpec,
-    Graph,
-    generate,
-    graph_to_edge_list,
-    graph_to_json_dict,
-    parse_edge_list,
-    parse_family,
-)
-from .solvers import (
-    DEFAULT_LIMITS,
-    SolveLimits,
-    _solve,
-    duality_check,
-    solve_result_to_json_dict,
-)
-from .trees import gpack_tree, tree_pairs_to_json_dict
+from .geodesics import GeodesicCatalog, enumerate_maximal_geodesics
+from .graphs import FamilySpec, Graph, generate, graph_to_edge_list, parse_edge_list, parse_family
+from .solvers import DEFAULT_LIMITS, SolveLimits, SolveResult, _solve, duality_check
+from .trees import LeafPairSet, gpack_tree
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
@@ -76,13 +64,48 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _graph_json(g: Graph) -> dict:
+    doc: dict = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+    if g.labels is not None:
+        doc["labels"] = {str(v): list(lab) for v, lab in enumerate(g.labels)}
+    return doc
+
+
+def _catalog_json(catalog: GeodesicCatalog) -> dict:
+    return {
+        "complete": catalog.complete,
+        "count": catalog.count,
+        "geodesics": [list(p) for p in catalog.paths],
+    }
+
+
+def _result_json(invariant: str, result: SolveResult) -> dict:
+    # A fixed key order; millis is zeroed so the output is reproducible.
+    if invariant == "gpack":
+        witness = [list(p.vertices) for p in result.witness.geodesics]  # type: ignore[union-attr]
+    else:
+        witness = list(result.witness.vertices)  # type: ignore[union-attr]
+    return {
+        "invariant": invariant,
+        "value": result.value,
+        "exact": True,
+        "witness": witness,
+        "bounds": {"lower": result.value, "upper": result.value},
+        "stats": {"nodes": result.stats.nodes, "millis": 0},
+    }
+
+
+def _tree_json(value: int, pairs: LeafPairSet) -> dict:
+    return {"gpack": value, "pairs": [list(p) for p in pairs.pairs]}
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     limits = _limits(args)
     wanted = ["gpack", "gt"] if args.invariant == "both" else [args.invariant]
     docs = list(zip(wanted, _solve(g, limits, wanted)))
     if args.format == "json":
-        payload = [solve_result_to_json_dict(inv, res) for inv, res in docs]
+        payload = [_result_json(inv, res) for inv, res in docs]
         _emit_json(payload[0] if len(payload) == 1 else payload)
         return 0
     for invariant, result in docs:
@@ -99,7 +122,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     catalog = enumerate_maximal_geodesics(g, cap=args.cap)
     if args.format == "json":
-        _emit_json(catalog_to_json_dict(catalog))
+        _emit_json(_catalog_json(catalog))
     else:
         for p in catalog.paths:
             print(" ".join(map(str, p)))
@@ -110,7 +133,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if args.format == "json":
-        _emit_json(graph_to_json_dict(g))
+        _emit_json(_graph_json(g))
     else:
         sys.stdout.write(graph_to_edge_list(g))
     return 0
@@ -120,7 +143,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     value, pairs = gpack_tree(g)
     if args.format == "json":
-        _emit_json(tree_pairs_to_json_dict(value, pairs))
+        _emit_json(_tree_json(value, pairs))
     else:
         print(f"gpack = {value}")
         for u, v in pairs.pairs:
@@ -133,6 +156,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.count < 1:
         raise DomainError(f"verify needs --count >= 1, got {args.count}")
+    if args.n < 1:
+        raise DomainError(f"verify needs --n >= 1, got {args.n}")
     limits = _limits(args)
     results = run_suite(
         args.suite, size=args.n, count=args.count, seed=args.seed, limits=limits

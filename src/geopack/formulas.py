@@ -98,8 +98,7 @@ def diagonal_grid_packing(dims: Sequence[int]) -> Packing:
         if used.intersection(verts):
             raise ContractViolation("grid columns overlap")
         used.update(verts)
-        members.append(Geodesic.from_vertices(verts))
-    members.sort(key=lambda p: p.vertices)
+        members.append(Geodesic(verts))
     return Packing(tuple(members))
 
 

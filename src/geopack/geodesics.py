@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple, Sequence
 
@@ -102,13 +101,6 @@ class Geodesic(_GeodesicFields):
         if vertices[0] > vertices[-1]:
             raise ValueError("geodesic not in canonical orientation")
         return super().__new__(cls, vertices)
-
-    @staticmethod
-    def from_vertices(seq: Sequence[int]) -> Geodesic:
-        verts = tuple(seq)
-        if verts and verts[0] > verts[-1]:
-            verts = verts[::-1]
-        return Geodesic(verts)
 
     @property
     def length(self) -> int:
@@ -298,15 +290,3 @@ def is_uniform_geodesic(g: Graph, catalog: GeodesicCatalog) -> bool:
     if g.n == 0 or len(_bfs(g.adj, 0)[1]) < g.n:
         raise DomainError("uniform-geodesic check needs a connected graph")
     return len(set(map(len, complete_catalog(g, catalog=catalog).paths))) == 1
-
-
-def catalog_to_json_dict(catalog: GeodesicCatalog) -> dict:
-    return {
-        "complete": catalog.complete,
-        "count": catalog.count,
-        "geodesics": [list(p) for p in catalog.paths],
-    }
-
-
-def catalog_to_json(catalog: GeodesicCatalog) -> str:
-    return json.dumps(catalog_to_json_dict(catalog), indent=2)

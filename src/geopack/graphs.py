@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -127,17 +126,6 @@ def graph_to_edge_list(g: Graph) -> str:
     lines = [f"n {g.n}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def graph_to_json_dict(g: Graph) -> dict:
-    doc: dict = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-    if g.labels is not None:
-        doc["labels"] = {str(v): list(lab) for v, lab in enumerate(g.labels)}
-    return doc
-
-
-def graph_to_json(g: Graph) -> str:
-    return json.dumps(graph_to_json_dict(g), indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -563,12 +563,6 @@ def _solve(
     return results
 
 
-def gpack_exact(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> tuple[int, Packing]:
-    """Exact geodesic packing number with a lexicographically least witness."""
-    result = gpack_report(g, limits)
-    return result.value, result.witness  # type: ignore[return-value]
-
-
 def gpack_value(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
     """Exact gpack value without witness extraction (faster for sweeps)."""
     return _solve(g, limits, ("gpack",), want_witness=False)[0].value
@@ -576,12 +570,6 @@ def gpack_value(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
 
 def gpack_report(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> SolveResult:
     return _solve(g, limits, ("gpack",))[0]
-
-
-def gt_exact(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> tuple[int, Transversal]:
-    """Exact geodesic transversal number with a lexicographically least witness."""
-    result = gt_report(g, limits)
-    return result.value, result.witness  # type: ignore[return-value]
 
 
 def gt_value(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
@@ -659,22 +647,3 @@ def verify_np_reduction(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
     lhs = _pack(_number_sets(paths, gp.n), _Budget("gpack search", limits), want_witness=False)[0]
     rhs = 1 + induced_p3_packing_exact(g, limits)
     return lhs == rhs
-
-
-def solve_result_to_json_dict(invariant: str, result: SolveResult) -> dict:
-    """Result JSON with a fixed key order; millis is zeroed for reproducibility."""
-    witness: list
-    if isinstance(result.witness, Packing):
-        witness = [list(p.vertices) for p in result.witness.geodesics]
-    elif isinstance(result.witness, Transversal):
-        witness = list(result.witness.vertices)
-    else:
-        witness = []
-    return {
-        "invariant": invariant,
-        "value": result.value,
-        "exact": True,
-        "witness": witness,
-        "bounds": {"lower": result.value, "upper": result.value},
-        "stats": {"nodes": result.stats.nodes, "millis": 0},
-    }

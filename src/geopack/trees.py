@@ -58,22 +58,6 @@ def _is_end_support(adj: Sequence[Collection[int]], v: int) -> bool:
     return leaf_nbrs >= 1 and len(adj[v]) - leaf_nbrs <= 1
 
 
-def find_end_support_vertex(t: Graph) -> int:
-    """Lowest-id support vertex with at most one non-leaf neighbour.
-
-    Requires a tree on at least two vertices with no degree-2 vertices;
-    every such tree has one.
-    """
-    if not is_tree(t) or t.n < 2:
-        raise ContractViolation("end support lookup needs a tree on >= 2 vertices")
-    if any(t.degree(v) == 2 for v in range(t.n)):
-        raise ContractViolation("end support lookup needs a tree with no degree-2 vertices")
-    for v in range(t.n):
-        if _is_end_support(t.adj, v):
-            return v
-    raise ContractViolation("no end support vertex found")
-
-
 def gpack_tree(t: Graph) -> tuple[int, LeafPairSet]:
     """Geodesic packing number of a tree with a leaf-pair witness.
 
@@ -131,10 +115,6 @@ def gpack_tree(t: Graph) -> tuple[int, LeafPairSet]:
 
     pairs.sort()
     return len(pairs), LeafPairSet(tuple(pairs))
-
-
-def tree_pairs_to_json_dict(value: int, pairs: LeafPairSet) -> dict:
-    return {"gpack": value, "pairs": [list(p) for p in pairs.pairs]}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Maximal geodesics are found from first principles: enumerate every simple
 path, keep the shortest ones, and drop any path contained in a longer
 shortest path.  The packing / transversal oracles then search exhaustively.
 Past brute-force range, the catalog is rebuilt from networkx shortest paths.
-Nothing here shares code with geopack beyond the Graph data type.
+Nothing here shares code with geopack beyond the Graph data type and the
+ContractViolation error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from itertools import combinations
 import networkx as nx
 
 from geopack import Graph
+from geopack.errors import ContractViolation
 
 
 def bfs_distances(g: Graph, source: int) -> dict[int, int]:
@@ -156,6 +158,24 @@ def oracle_induced_p3_packing(g: Graph) -> int:
 
     rec(0, frozenset(), 0)
     return best
+
+
+def find_end_support_vertex(t: Graph) -> int:
+    """Lowest-id vertex with a leaf neighbour and at most one non-leaf neighbour.
+
+    Requires a tree on at least two vertices with no degree-2 vertices;
+    every such tree has one (the neighbour of an end of a longest path).
+    """
+    degree = [len(nbrs) for nbrs in t.adj]
+    if t.n < 2 or sum(degree) != 2 * (t.n - 1) or len(bfs_distances(t, 0)) < t.n:
+        raise ContractViolation("end support lookup needs a tree on >= 2 vertices")
+    if 2 in degree:
+        raise ContractViolation("end support lookup needs a tree with no degree-2 vertices")
+    for v in range(t.n):
+        leaves = sum(1 for w in t.adj[v] if degree[w] == 1)
+        if leaves and degree[v] - leaves <= 1:
+            return v
+    raise AssertionError("unreachable")
 
 
 def brute_lex_least_packing(sets: list[set[int]]) -> list[int]:

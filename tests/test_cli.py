@@ -265,6 +265,14 @@ def test_verify_rejects_a_count_below_one(capsys, count):
     assert captured.err == f"error: verify needs --count >= 1, got {count}\n"
 
 
+@pytest.mark.parametrize("suite, n", [("reduction", "0"), ("trees", "-3")])
+def test_verify_rejects_an_n_below_one(capsys, suite, n):
+    assert main(["verify", suite, "--n", n, "--count", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: verify needs --n >= 1, got {n}\n"
+
+
 def test_verify_failure_wins_over_inconclusive(capsys, monkeypatch):
     import geopack.verify
     from geopack.verify import CheckResult

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 import geopack as gp
+from geopack.cli import main
 from geopack.errors import ContractViolation, DomainError, ParseError, SpecError
 from geopack.graphs import _suppress as suppress
 
@@ -72,14 +73,19 @@ def test_edge_list_roundtrip():
     assert again.n == g.n and again.adj == g.adj
 
 
-def test_graph_json_shape():
-    g = gp.path_graph(3)
-    doc = json.loads(gp.graph_to_json(g))
+def generate_json(capsys, *source: str) -> dict:
+    assert main(["generate", *source, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_graph_json_shape(capsys, tmp_path):
+    doc = generate_json(capsys, "--family", "path:3")
     assert list(doc.keys()) == ["n", "edges", "labels"]
     assert doc["edges"] == [[0, 1], [1, 2]]
     assert doc["labels"]["2"] == [2]
-    unlabelled = gp.parse_edge_list("0 1")
-    assert "labels" not in json.loads(gp.graph_to_json(unlabelled))
+    unlabelled = tmp_path / "unlabelled.edges"
+    unlabelled.write_text("0 1\n", encoding="utf-8")
+    assert "labels" not in generate_json(capsys, "--file", str(unlabelled))
 
 
 def test_from_edges_validation():

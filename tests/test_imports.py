@@ -13,18 +13,22 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "geopack"
 
 
+def absolute_imports(path: Path) -> list[str]:
+    # The top-level package of every absolute import in one source file.
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append((node.module or "").split(".")[0])
+    return names
+
+
 def test_library_imports_only_the_standard_library():
     # The library stays pure standard library; test-only tools stay in tests/.
     outside = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module or ""]
-            else:
-                continue
-            outside += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+        outside += [f"{path.name}: {name}" for name in absolute_imports(path) if name not in sys.stdlib_module_names]
     assert len(list(SRC.glob("*.py"))) > 1 and outside == []
 
 
@@ -62,19 +66,31 @@ def test_no_library_path_builds_all_pairs_distances():
     assert calls == []
 
 
+def fresh_output(code: str) -> list[str]:
+    # The words a new interpreter prints after running code with src/ on its path.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
+
+
+def test_only_the_cli_imports_json():
+    # The JSON output format has one owner: cli.py builds every document it prints.
+    importers = [path.name for path in sorted(SRC.glob("*.py")) if "json" in absolute_imports(path)]
+    assert importers == ["cli.py"]
+
+
+def test_package_import_leaves_json_unloaded():
+    assert fresh_output("import sys, geopack; print('json' in sys.modules)") == ["False"]
+
+
 def test_package_import_leaves_the_suites_unloaded():
     code = "import sys, geopack; print('geopack.verify' in sys.modules, geopack.verify_tree_equality.__module__)"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "geopack.solvers"]
+    assert fresh_output(code) == ["False", "geopack.solvers"]
 
 
 def test_cli_import_leaves_the_suites_unloaded():
     # compute, enumerate and tree never run a suite, so they do not load them.
     code = "import sys, geopack.cli; print('geopack.verify' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False"]
+    assert fresh_output(code) == ["False"]
 
 
 @pytest.mark.parametrize("module", ["geopack", "geopack.cli"])
@@ -84,9 +100,7 @@ def test_import_loads_no_heavy_stdlib_modules(module):
     # NamedTuples and the ratio code imports fractions when it runs.
     heavy = ("dataclasses", "inspect", "fractions", "decimal")
     code = f"import sys, {module}; print(*[m for m in {heavy!r} if m in sys.modules])"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == []
+    assert fresh_output(code) == []
 
 
 def test_benchmark_imports_resolve():
@@ -108,3 +122,12 @@ def test_benchmark_selftest_catches_every_corruption(monkeypatch):
     # fails here before it fails a benchmark run.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     assert importlib.import_module("selftest").run() == []
+
+
+def test_readme_quick_start_runs():
+    # README's library example names public exports; a rename or deletion it
+    # still names fails here, not in a reader's session.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "gp." in block
+    exec(compile(block, "README.md", "exec"), {})

@@ -48,7 +48,9 @@ def _check_against_highs(g: gp.Graph) -> None:
     cols = [j for j, p in enumerate(geos) for _ in p.vertices]
     incidence = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, m))
 
-    value, packing = gp.gpack_exact(g)
+    report = gp.gpack_report(g)
+
+    value, packing = report.value, report.witness
     assert value == _milp(-np.ones(m), incidence, -np.inf, 1)
     assert packing.size == value
     used: set[int] = set()
@@ -57,7 +59,9 @@ def _check_against_highs(g: gp.Graph) -> None:
         assert not used.intersection(p.vertices)
         used.update(p.vertices)
 
-    value, transversal = gp.gt_exact(g)
+    report = gp.gt_report(g)
+
+    value, transversal = report.value, report.witness
     assert value == _milp(np.ones(g.n), incidence.T.tocsr(), 1, np.inf)
     assert transversal.size == value
     assert all(set(transversal.vertices).intersection(p.vertices) for p in geos)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geopack as gp
+from geopack.cli import main
 from geopack.errors import BudgetExceeded, ContractViolation, DomainError
 from geopack.verify import random_graph
 
@@ -72,23 +74,27 @@ def test_solves_build_geodesics_only_for_the_witness(monkeypatch):
     g = gp.diagonal_grid((4, 4, 4))  # 13,468 maximal geodesics
     assert gp.gpack_value(g) == 16 and gp.gt_value(gp.rook_graph(4)) == 10
     assert built == []
-    value, packing = gp.gpack_exact(g)
+    report = gp.gpack_report(g)
+    value, packing = report.value, report.witness
     assert value == 16 and built == [p.vertices for p in packing.geodesics]
 
 
 def test_gpack_witness_is_lexicographically_least():
-    value, packing = gp.gpack_exact(gp.complete_graph(4))
+    report = gp.gpack_report(gp.complete_graph(4))
+    value, packing = report.value, report.witness
     assert value == 2
     assert [p.vertices for p in packing.geodesics] == [(0, 1), (2, 3)]
 
 
 def test_gpack_single_vertex():
-    value, packing = gp.gpack_exact(gp.complete_graph(1))
+    report = gp.gpack_report(gp.complete_graph(1))
+    value, packing = report.value, report.witness
     assert value == 1 and packing.geodesics[0].vertices == (0,)
 
 
 def test_gpack_empty_graph():
-    value, packing = gp.gpack_exact(gp.Graph.from_edges(0, []))
+    report = gp.gpack_report(gp.Graph.from_edges(0, []))
+    value, packing = report.value, report.witness
     assert value == 0 and packing.size == 0
 
 
@@ -112,7 +118,8 @@ def test_gt_rook6_north_star():
 def test_gt_rook6_witness():
     # The lex-least witness is the 5 x 5 block of the first five rows and
     # columns plus cell 35; value and witness take about 53k nodes.
-    value, transversal = gp.gt_exact(gp.rook_graph(6), gp.SolveLimits(node_budget=60_000))
+    report = gp.gt_report(gp.rook_graph(6), gp.SolveLimits(node_budget=60_000))
+    value, transversal = report.value, report.witness
     block = tuple(6 * r + c for r in range(5) for c in range(5))
     assert value == 26 and transversal.vertices == block + (35,)
 
@@ -129,13 +136,15 @@ def test_gt_report_rook3():
 
 
 def test_gt_witness_is_lexicographically_least():
-    value, transversal = gp.gt_exact(gp.complete_graph(4))
+    report = gp.gt_report(gp.complete_graph(4))
+    value, transversal = report.value, report.witness
     assert value == 3 and transversal.vertices == (0, 1, 2)
 
 
 def test_gt_witness_hits_everything():
     g = gp.rook_graph(3)
-    value, transversal = gp.gt_exact(g)
+    report = gp.gt_report(g)
+    value, transversal = report.value, report.witness
     assert value == 5
     chosen = set(transversal.vertices)
     for p in gp.enumerate_maximal_geodesics(g).geodesics:
@@ -147,7 +156,8 @@ def test_gt_on_a_300_vertex_tree():
     # so the general engine reaches gt = gpack(T); without it a 20 s budget
     # ran out at bounds 41..53.
     t = gp.random_tree(300, random.Random(1))
-    value, transversal = gp.gt_exact(t, gp.SolveLimits(node_budget=1_000))
+    report = gp.gt_report(t, gp.SolveLimits(node_budget=1_000))
+    value, transversal = report.value, report.witness
     assert value == gp.gpack_tree(t)[0] == 46
     chosen = set(transversal.vertices)
     assert len(chosen) == value
@@ -286,14 +296,15 @@ def test_gpack_witness_is_lex_least_on_small_trees(small_trees):
     for t in small_trees:
         paths = gp.enumerate_maximal_geodesics(t).paths
         expected = [paths[j] for j in brute_lex_least_packing([set(p) for p in paths])]
-        assert [p.vertices for p in gp.gpack_exact(t)[1].geodesics] == expected
+        assert [p.vertices for p in gp.gpack_report(t).witness.geodesics] == expected
 
 
 def test_gpack_on_a_300_vertex_tree():
     # The root reduction empties the value search in its root node and
     # settles each witness prefix test at its root.
     t = gp.random_tree(300, random.Random(1))
-    value, packing = gp.gpack_exact(t, gp.SolveLimits(node_budget=1_000))
+    report = gp.gpack_report(t, gp.SolveLimits(node_budget=1_000))
+    value, packing = report.value, report.witness
     assert value == gp.gpack_tree(t)[0] == 46
     assert gp.solvers._solve(t, gp.SolveLimits(node_budget=1), ("gpack",), want_witness=False)[0].stats.nodes == 1
     used = [v for p in packing.geodesics for v in p.vertices]
@@ -317,12 +328,13 @@ def test_gt_witness_is_lex_least_on_small_trees(small_trees):
 
     for t in small_trees:
         sets = [set(p) for p in gp.enumerate_maximal_geodesics(t).paths]
-        assert gp.gt_exact(t)[1].vertices == brute_lex_least_hitting(sets, t.n)
+        assert gp.gt_report(t).witness.vertices == brute_lex_least_hitting(sets, t.n)
 
 
 def test_gt_isolated_vertices_are_forced():
     g = gp.Graph.from_edges(3, [(0, 1)])
-    value, transversal = gp.gt_exact(g)
+    report = gp.gt_report(g)
+    value, transversal = report.value, report.witness
     assert value == 2 and 2 in transversal.vertices
 
 
@@ -459,7 +471,8 @@ def test_solver_values_match_bruteforce(g):
 @settings(max_examples=30)
 def test_witnesses_are_valid(g):
     catalog = {p.vertices for p in gp.enumerate_maximal_geodesics(g).geodesics}
-    value, packing = gp.gpack_exact(g)
+    report = gp.gpack_report(g)
+    value, packing = report.value, report.witness
     assert packing.size == value
     used: set[int] = set()
     for p in packing.geodesics:
@@ -467,7 +480,8 @@ def test_witnesses_are_valid(g):
         assert gp.is_maximal_geodesic(g, p)
         assert not used.intersection(p.vertices)
         used.update(p.vertices)
-    gt_value, transversal = gp.gt_exact(g)
+    report = gp.gt_report(g)
+    gt_value, transversal = report.value, report.witness
     assert transversal.size == gt_value
     chosen = set(transversal.vertices)
     for verts in catalog:
@@ -526,14 +540,14 @@ def test_solver_properties_at_n_15_to_30(g):
 
 def test_budget_exceeded_carries_bounds():
     with pytest.raises(BudgetExceeded) as info:
-        gp.gt_exact(gp.rook_graph(4), TIGHT)
+        gp.gt_report(gp.rook_graph(4), TIGHT)
     assert info.value.lower is not None and info.value.upper is not None
     assert info.value.lower <= 10 <= info.value.upper
 
 
 def test_gpack_budget_exceeded():
     with pytest.raises(BudgetExceeded) as info:
-        gp.gpack_exact(gp.rook_graph(5), gp.SolveLimits(node_budget=1))
+        gp.gpack_report(gp.rook_graph(5), gp.SolveLimits(node_budget=1))
     assert str(info.value) == "gpack search stopped: search node budget exhausted"
     assert (info.value.lower, info.value.upper, info.value.nodes) == (7, 8, 2)
 
@@ -550,7 +564,8 @@ def test_root_certified_gpack_witness_needs_no_search():
     # The greedy packing meets n // 3 at the root and holds every set of the
     # lex-least witness, so no prefix test searches.
     limits = gp.SolveLimits(node_budget=1)
-    value, packing = gp.gpack_exact(gp.rook_graph(4), limits)
+    first = gp.gpack_report(gp.rook_graph(4), limits)
+    value, packing = first.value, first.witness
     report = gp.gpack_report(gp.rook_graph(4), limits)
     assert value == 5 and report.stats.nodes == 0 and report.witness == packing
 
@@ -572,13 +587,13 @@ def test_p3_packing_budget_exceeded():
 
 
 @pytest.mark.parametrize(
-    "invariant, value, exact",
+    "invariant, value, report",
     [
-        ("gpack", gp.gpack_value, gp.gpack_exact),
-        ("gt", gp.gt_value, gp.gt_exact),
+        ("gpack", gp.gpack_value, gp.gpack_report),
+        ("gt", gp.gt_value, gp.gt_report),
     ],
 )
-def test_witness_extraction_budget_exceeded(invariant, value, exact):
+def test_witness_extraction_budget_exceeded(invariant, value, report):
     # A budget the value search fits in, but not the witness extraction.
     g = gp.rook_graph(3)
     budget = gp.solvers._solve(g, gp.DEFAULT_LIMITS, (invariant,), want_witness=False)[0].stats.nodes
@@ -586,14 +601,14 @@ def test_witness_extraction_budget_exceeded(invariant, value, exact):
     limits = gp.SolveLimits(node_budget=budget)
     assert value(g, limits) == value(g)
     with pytest.raises(BudgetExceeded) as info:
-        exact(g, limits)
+        report(g, limits)
     assert info.value.nodes == budget + 1
     assert info.value.lower <= value(g) <= info.value.upper
 
 
 def test_enumeration_cap_propagates():
     with pytest.raises(BudgetExceeded):
-        gp.gpack_exact(gp.rook_graph(3), gp.SolveLimits(max_geodesics=5))
+        gp.gpack_report(gp.rook_graph(3), gp.SolveLimits(max_geodesics=5))
 
 
 def test_limits_validation():
@@ -687,9 +702,9 @@ def test_a_kept_catalog_solves_like_a_fresh_one():
 # Result JSON
 # ---------------------------------------------------------------------------
 
-def test_result_json_shape():
-    report = gp.gpack_report(gp.complete_graph(4))
-    doc = gp.solvers.solve_result_to_json_dict("gpack", report)
+def test_result_json_shape(capsys):
+    assert main(["compute", "--family", "complete:4", "--invariant", "gpack", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert list(doc.keys()) == ["invariant", "value", "exact", "witness", "bounds", "stats"]
     assert doc["value"] == 2 and doc["exact"] is True
     assert doc["witness"] == [[0, 1], [2, 3]]
@@ -709,10 +724,12 @@ def test_solvers_match_catalog_bruteforce_on_random_graphs():
         geos = gp.enumerate_maximal_geodesics(g).geodesics
         sets = [set(p.vertices) for p in geos]
         least = brute_lex_least_packing(sets)
-        value, packing = gp.gpack_exact(g)
+        report = gp.gpack_report(g)
+        value, packing = report.value, report.witness
         assert value == len(least)
         assert packing.geodesics == tuple(geos[j] for j in least)
         hitting = brute_lex_least_hitting(sets, g.n)
-        value, transversal = gp.gt_exact(g)
+        report = gp.gt_report(g)
+        value, transversal = report.value, report.witness
         assert value == gp.gt_value(g) == len(hitting)
         assert transversal.vertices == hitting

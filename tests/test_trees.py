@@ -11,7 +11,7 @@ import geopack as gp
 from geopack.errors import ContractViolation, DomainError
 
 from conftest import trees_st
-from oracles import oracle_gpack
+from oracles import find_end_support_vertex, oracle_gpack
 
 
 def tree_path(t: gp.Graph, u: int, v: int) -> list[int]:
@@ -40,7 +40,7 @@ def assert_valid_witness(t: gp.Graph, value: int, pairs: gp.LeafPairSet) -> None
         assert u < v
         assert t.degree(u) == 1 and t.degree(v) == 1
         path = tree_path(t, u, v)
-        assert gp.is_maximal_geodesic(t, gp.Geodesic.from_vertices(path))
+        assert gp.is_maximal_geodesic(t, path)
         assert not used.intersection(path)
         used.update(path)
 
@@ -50,25 +50,25 @@ def assert_valid_witness(t: gp.Graph, value: int, pairs: gp.LeafPairSet) -> None
 # ---------------------------------------------------------------------------
 
 def test_end_support_star_centre():
-    assert gp.find_end_support_vertex(gp.star_graph(3)) == 0
+    assert find_end_support_vertex(gp.star_graph(3)) == 0
 
 
 def test_end_support_double_star_lowest_centre():
     t = gp.Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    assert gp.find_end_support_vertex(t) == 0
+    assert find_end_support_vertex(t) == 0
 
 
 def test_end_support_k2():
-    assert gp.find_end_support_vertex(gp.complete_graph(2)) == 0
+    assert find_end_support_vertex(gp.complete_graph(2)) == 0
 
 
 def test_end_support_contract():
     with pytest.raises(ContractViolation):
-        gp.find_end_support_vertex(gp.path_graph(5))  # has degree-2 vertices
+        find_end_support_vertex(gp.path_graph(5))  # has degree-2 vertices
     with pytest.raises(ContractViolation):
-        gp.find_end_support_vertex(gp.cycle_graph(4))
+        find_end_support_vertex(gp.cycle_graph(4))
     with pytest.raises(ContractViolation):
-        gp.find_end_support_vertex(gp.complete_graph(1))
+        find_end_support_vertex(gp.complete_graph(1))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_end_support_deletion_recurrence(t):
     t = gp.smooth(t).graph
     if t.n < 3:
         return
-    p = gp.find_end_support_vertex(t)
+    p = find_end_support_vertex(t)
     doomed = {p} | {w for w in t.adj[p] if t.degree(w) == 1}
     kept = [v for v in range(t.n) if v not in doomed]
     relabel = {old: new for new, old in enumerate(kept)}

@@ -158,6 +158,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise DomainError(f"verify needs --count >= 1, got {args.count}")
     if args.n < 1:
         raise DomainError(f"verify needs --n >= 1, got {args.n}")
+    if args.n < 3 and args.suite in ("reduction", "all"):  # a reduction input has n >= 3
+        raise DomainError(f"verify {args.suite} needs --n >= 3, got {args.n}")
     limits = _limits(args)
     results = run_suite(
         args.suite, size=args.n, count=args.count, seed=args.seed, limits=limits

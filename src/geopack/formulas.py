@@ -76,22 +76,23 @@ def _need_params(kind: str, params: tuple[int, ...], count: int) -> None:
 
 
 def diagonal_grid_packing(dims: Sequence[int]) -> Packing:
-    """The explicit optimal packing of a diagonal grid.
+    """The explicit optimal packing of the diagonal grid ``diagonal_grid(dims)``.
 
-    Dimensions are normalized ascending; the packing consists of one
-    axis-aligned path along the shortest axis for every combination of the
-    remaining coordinates.  Each member is verified maximal against the
-    generated grid.
+    Dimensions are taken as given, so the vertex ids are those of that
+    grid.  The packing consists of one axis-aligned path along the first
+    axis of smallest size for every combination of the other coordinates,
+    in product order.  Each member is verified maximal against the grid.
     """
-    dims = tuple(sorted(dims))
-    if len(dims) < 2 or dims[0] < 2:
+    dims = tuple(dims)
+    if len(dims) < 2 or min(dims) < 2:
         raise DomainError("diagonal-grid packing needs r >= 2 and all dims >= 2")
+    axis = dims.index(min(dims))
     grid = diagonal_grid(dims)
     by_label = grid.label_index()
     members: list[Geodesic] = []
     used: set[int] = set()
-    for combo in iter_product(*(range(d) for d in dims[1:])):
-        verts = tuple(by_label[(i,) + combo] for i in range(dims[0]))
+    for combo in iter_product(*(range(d) for d in dims[:axis] + dims[axis + 1:])):
+        verts = tuple(by_label[combo[:axis] + (i,) + combo[axis:]] for i in range(dims[axis]))
         # Raises ContractViolation when the column is not a geodesic.
         if not is_maximal_geodesic(grid, verts):
             raise ContractViolation(f"grid column {combo} is not maximal")

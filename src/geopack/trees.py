@@ -129,6 +129,8 @@ def tree_from_pruefer(seq: Sequence[int], n: int) -> Graph:
         raise DomainError("Pruefer sequence must have length n - 2")
     degree = [1] * n
     for a in seq:
+        if not 0 <= a < n:
+            raise DomainError(f"Pruefer entry {a} lies outside 0..{n - 1}")
         degree[a] += 1
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)

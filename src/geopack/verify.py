@@ -1,15 +1,16 @@
 """Built-in verification suites: formulas, trees, the derived-graph identity, grids.
 
 Each suite cross-checks a family of closed forms or structural identities
-against the exact solvers and reports one result per item; an item whose
-solve or catalog read stops on a budget or the cap is inconclusive.  Random
-inputs are fully determined by the caller's seed.
+against the exact solvers.  Every check is one item with one label, run at
+once by ``_item``, which owns the stop rule: the item passes or fails by
+the check's verdict, and is inconclusive when a budget or the catalog cap
+stops it.  Random inputs are fully determined by the caller's seed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import SUITE_NAMES
 from .errors import BudgetExceeded, Unsupported
@@ -48,10 +49,6 @@ class CheckResult(NamedTuple):
     label: str
     passed: bool | None  # None marks an inconclusive (budget-limited) check
     detail: str = ""
-
-
-def _check(label: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(label, bool(ok), detail if not ok else "")
 
 
 def rook_ratio_curve(n: int) -> Fraction:
@@ -110,7 +107,20 @@ def random_connected_bipartite_max3(n: int, rng: random.Random) -> Graph:
 # Suites
 # ---------------------------------------------------------------------------
 
-def suite_formulas(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
+def _item(label: str, check: Callable[[], tuple[bool, str]]) -> CheckResult:
+    """Run ``check() -> (holds, detail)`` now; the detail is kept only when it fails."""
+    try:
+        holds, detail = check()
+    except BudgetExceeded as exc:
+        return CheckResult(label, None, str(exc))
+    return CheckResult(label, holds, "" if holds else detail)
+
+
+def _equal(got: int, want: int, says: str = "got") -> tuple[bool, str]:
+    return got == want, f"{says} {got}"
+
+
+def _formulas(size: int, count: int, seed: int, limits: SolveLimits) -> list[CheckResult]:
     results = []
     for spec, name in _FORMULA_SPECS:
         g = generate(spec)
@@ -119,100 +129,67 @@ def suite_formulas(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
                 want = formula_value(spec, invariant)
             except Unsupported:
                 continue
-            label = f"{invariant}({name}) = {want}"
-            try:
-                got = solve(g, limits)
-            except BudgetExceeded as exc:
-                results.append(CheckResult(label, None, str(exc)))
-                continue
-            results.append(_check(label, got == want, f"solver gave {got}"))
+            results.append(_item(
+                f"{invariant}({name}) = {want}", lambda: _equal(solve(g, limits), want, "solver gave")
+            ))
     for n in range(2, 6):
-        g = rook_graph(n)
-        free = set(rook_complement_set(n))
-        transversal = set(range(g.n)) - free
         want = formula_value(FamilySpec("rook", (n,)), "gt")
-        label = f"rook {n} complement transversal of size {want}"
-        try:
-            catalog = complete_catalog(g, limits.max_geodesics)
-        except BudgetExceeded as exc:
-            results.append(CheckResult(label, None, str(exc)))
-            continue
-        hits_all = all(transversal.intersection(p) for p in catalog.paths)
-        results.append(
-            _check(label, hits_all and len(transversal) == want, f"size {len(transversal)}, hits_all={hits_all}")
-        )
+
+        def hits_every_geodesic() -> tuple[bool, str]:
+            g = rook_graph(n)
+            transversal = set(range(g.n)).difference(rook_complement_set(n))
+            hits_all = all(transversal.intersection(p) for p in complete_catalog(g, limits.max_geodesics).paths)
+            return hits_all and len(transversal) == want, f"size {len(transversal)}, hits_all={hits_all}"
+
+        results.append(_item(f"rook {n} complement transversal of size {want}", hits_every_geodesic))
     return results
 
 
-def suite_trees(
-    size: int = 12,
-    count: int = 25,
-    seed: int = 0,
-    limits: SolveLimits = DEFAULT_LIMITS,
-) -> list[CheckResult]:
+def _trees(size: int, count: int, seed: int, limits: SolveLimits) -> list[CheckResult]:
+    rng = random.Random(seed)
+    trees = (random_tree(size, rng) for _ in range(count))
+    return [
+        _item(f"tree {i} (n={size}) packing equals transversal", lambda: (verify_tree_equality(t, limits), ""))
+        for i, t in enumerate(trees)
+    ]
+
+
+def _reduction(size: int, count: int, seed: int, limits: SolveLimits) -> list[CheckResult]:
     rng = random.Random(seed)
     results = []
     for i in range(count):
-        t = random_tree(size, rng)
-        try:
-            ok = verify_tree_equality(t, limits)
-        except BudgetExceeded as exc:
-            results.append(CheckResult(f"tree {i} (n={size})", None, str(exc)))
-            continue
-        results.append(_check(f"tree {i} (n={size}) packing equals transversal", ok))
-    return results
-
-
-def suite_reduction(
-    size: int = 8,
-    count: int = 25,
-    seed: int = 0,
-    limits: SolveLimits = DEFAULT_LIMITS,
-) -> list[CheckResult]:
-    rng = random.Random(seed)
-    results = []
-    for i in range(count):
-        n = rng.randint(3, max(3, size))
+        n = rng.randint(3, size)
         g = random_connected_bipartite_max3(n, rng)
-        try:
-            ok = verify_np_reduction(g, limits)
-        except BudgetExceeded as exc:
-            results.append(CheckResult(f"reduction {i} (n={n})", None, str(exc)))
-            continue
-        results.append(
-            _check(f"reduction {i} (n={n}) derived gpack = 1 + induced P3 packing", ok)
-        )
+        results.append(_item(
+            f"reduction {i} (n={n}) derived gpack = 1 + induced P3 packing",
+            lambda: (verify_np_reduction(g, limits), ""),
+        ))
     return results
 
 
-def suite_grids(limits: SolveLimits = DEFAULT_LIMITS) -> list[CheckResult]:
+def _grids(size: int, count: int, seed: int, limits: SolveLimits) -> list[CheckResult]:
     results = []
     for dims in _GRID_DIMS:
         g = diagonal_grid(dims)
         want = formula_value(FamilySpec("diagonal_grid", dims), "gpack")
-        label = f"grid {dims}: gpack = {want}"
-        try:
-            got = gpack_value(g, limits)
-        except BudgetExceeded as exc:
-            results.append(CheckResult(label, None, str(exc)))
-        else:
-            results.append(_check(label, got == want, f"got {got}"))
-        packing = diagonal_grid_packing(dims)
-        results.append(
-            _check(f"grid {dims}: explicit packing has size {want}", packing.size == want)
+
+        def orders_within_dims() -> tuple[bool, str]:
+            orders = set(map(len, complete_catalog(g, limits.max_geodesics).paths))
+            return orders.issubset(dims), f"orders {sorted(orders)}"
+
+        results += (
+            _item(f"grid {dims}: gpack = {want}", lambda: _equal(gpack_value(g, limits), want)),
+            _item(f"grid {dims}: explicit packing has size {want}",
+                  lambda: (diagonal_grid_packing(dims).size == want, "")),
+            _item(f"grid {dims}: maximal geodesic orders within {sorted(set(dims))}", orders_within_dims),
+            _item(f"grid {dims}: packing bound = {want}",
+                  lambda: _equal(gpack_upper_bound(g, complete_catalog(g, limits.max_geodesics)), want)),
         )
-        labels = (f"grid {dims}: maximal geodesic orders within {sorted(set(dims))}",
-                  f"grid {dims}: packing bound = {want}")
-        try:
-            catalog = complete_catalog(g, limits.max_geodesics)
-        except BudgetExceeded as exc:
-            results.extend(CheckResult(label, None, str(exc)) for label in labels)
-            continue
-        orders = set(map(len, catalog.paths))
-        results.append(_check(labels[0], orders.issubset(set(dims)), f"orders {sorted(orders)}"))
-        bound = gpack_upper_bound(g, catalog)
-        results.append(_check(labels[1], bound == want, f"got {bound}"))
     return results
+
+
+# Every suite takes (size, count, seed, limits); "all" runs them in this order.
+_SUITES = {"formulas": _formulas, "trees": _trees, "reduction": _reduction, "grids": _grids}
 
 
 def run_suite(
@@ -223,18 +200,7 @@ def run_suite(
     seed: int = 0,
     limits: SolveLimits = DEFAULT_LIMITS,
 ) -> list[CheckResult]:
-    if name == "formulas":
-        return suite_formulas(limits)
-    if name == "trees":
-        return suite_trees(size, count, seed, limits)
-    if name == "reduction":
-        return suite_reduction(size, count, seed, limits)
-    if name == "grids":
-        return suite_grids(limits)
-    if name == "all":
-        out = suite_formulas(limits)
-        out += suite_trees(size, count, seed, limits)
-        out += suite_reduction(size, count, seed, limits)
-        out += suite_grids(limits)
-        return out
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if name != "all" and name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    chosen = _SUITES if name == "all" else (name,)
+    return [item for key in chosen for item in _SUITES[key](size, count, seed, limits)]

@@ -227,7 +227,8 @@ def test_verify_trees_budget_inconclusive(capsys):
     code, out = run(capsys, "verify", "trees", "--n", "30", "--count", "2", "--cap", "10")
     assert code == 3
     assert out.splitlines() == [
-        f"INCONCLUSIVE tree {i} (n=30): maximal-geodesic catalog exceeded 10 entries" for i in range(2)
+        f"INCONCLUSIVE tree {i} (n=30) packing equals transversal: maximal-geodesic catalog exceeded 10 entries"
+        for i in range(2)
     ] + ["# 0/2 passed"]
 
 
@@ -265,12 +266,44 @@ def test_verify_rejects_a_count_below_one(capsys, count):
     assert captured.err == f"error: verify needs --count >= 1, got {count}\n"
 
 
-@pytest.mark.parametrize("suite, n", [("reduction", "0"), ("trees", "-3")])
+@pytest.mark.parametrize(
+    "suite, n", [("reduction", "0"), ("trees", "-3"), ("reduction", "1"), ("reduction", "2"), ("all", "2")]
+)
 def test_verify_rejects_an_n_below_one(capsys, suite, n):
+    # Every suite needs n >= 1; a reduction input, drawn from 3..n, needs n >= 3.
     assert main(["verify", suite, "--n", n, "--count", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: verify needs --n >= 1, got {n}\n"
+    want = f"verify needs --n >= 1, got {n}" if int(n) < 1 else f"verify {suite} needs --n >= 3, got {n}"
+    assert captured.err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_verify_trees_runs_below_three(capsys, n):
+    code, out = run(capsys, "verify", "trees", "--n", n, "--count", "2")
+    assert code == 0
+    assert out.splitlines() == [f"PASS tree {i} (n={n}) packing equals transversal" for i in range(2)] + ["# 2/2 passed"]
+
+
+def test_verify_suite_table_names_every_suite():
+    from geopack import SUITE_NAMES
+    from geopack.verify import _SUITES
+
+    assert (*_SUITES, "all") == SUITE_NAMES
+
+
+def test_verify_all_prints_the_suites_in_table_order(capsys):
+    from geopack.verify import _SUITES
+
+    flags = ("--n", "5", "--count", "3", "--seed", "4")
+    items = []
+    for suite in _SUITES:
+        code, out = run(capsys, "verify", suite, *flags)
+        assert code == 0
+        items += out.splitlines()[:-1]
+    code, out = run(capsys, "verify", "all", *flags)
+    assert code == 0
+    assert out.splitlines() == items + [f"# {len(items)}/{len(items)} passed"]
 
 
 def test_verify_failure_wins_over_inconclusive(capsys, monkeypatch):

@@ -99,15 +99,18 @@ def test_grid_packing_sizes():
 
 
 def test_grid_packing_members_are_disjoint_columns():
-    dims = (3, 3)
-    grid = gp.diagonal_grid(dims)
-    packing = gp.diagonal_grid_packing(dims)
-    used: set[int] = set()
-    for p in packing.geodesics:
-        assert len(p.vertices) == 3
-        assert not used.intersection(p.vertices)
-        used.update(p.vertices)
-    assert packing.size == gp.gpack_value(grid)
+    # Unsorted dimensions are taken as given: the members lie in diagonal_grid(dims).
+    for dims in ((3, 3), (4, 3), (3, 2, 2), (5, 2, 3)):
+        grid = gp.diagonal_grid(dims)
+        packing = gp.diagonal_grid_packing(dims)
+        used: set[int] = set()
+        for p in packing.geodesics:
+            assert len(p.vertices) == min(dims)
+            assert gp.is_maximal_geodesic(grid, p.vertices)
+            assert not used.intersection(p.vertices)
+            used.update(p.vertices)
+        assert packing.size == gp.formula_value(spec("diagonal_grid", *dims), "gpack")
+        assert packing.size == gp.gpack_value(grid)
 
 
 def test_grid_packing_hypothesis_violation():

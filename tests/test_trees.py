@@ -224,6 +224,13 @@ def test_pruefer_validation():
         gp.tree_from_pruefer([], 1)
 
 
+@pytest.mark.parametrize("entry", [3, 5, -1])
+def test_pruefer_entry_outside_the_vertex_range(entry):
+    # A negative entry would otherwise wrap around to a vertex at the end.
+    with pytest.raises(DomainError, match=rf"Pruefer entry {entry} lies outside 0\.\.2"):
+        gp.tree_from_pruefer([entry], 3)
+
+
 def test_random_tree_is_deterministic_per_seed():
     a = gp.random_tree(20, random.Random(9))
     b = gp.random_tree(20, random.Random(9))

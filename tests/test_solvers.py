@@ -50,9 +50,13 @@ def test_gpack_thirteen_vertex_example_drops_after_smoothing():
 
 
 @pytest.mark.slow
-def test_gpack_on_a_large_root_certified_grid():
-    # 81k maximal geodesics; the greedy packing meets n // 9 at the root.
-    assert gp.gpack_value(gp.diagonal_grid((9, 9))) == 9
+def test_gpack_on_a_large_root_certified_grid(monkeypatch):
+    # 81k maximal geodesics; the greedy packing meets n // 9, so the value
+    # solve numbers nothing.
+    numberings = _counted(monkeypatch, gp.solvers, "_number_sets")
+    family = gp.parse_family("diagonal_grid:9,9")
+    assert gp.gpack_value(gp.generate(family)) == gp.formula_value(family, "gpack") == 9
+    assert numberings == []
 
 
 def test_gpack_fractional_bound_on_a_sparse_random_graph():
@@ -653,6 +657,32 @@ def test_reports_of_one_graph_share_one_catalog(monkeypatch):
     assert len(enumerations) == len(numberings) == 4
 
 
+@pytest.mark.parametrize("spec", ["diagonal_grid:4,4", "diagonal_grid:7,7"])
+def test_a_gpack_value_the_greedy_settles_numbers_nothing(monkeypatch, spec):
+    # The greedy packing meets n // (the order of the shortest entry).
+    numberings = _counted(monkeypatch, gp.solvers, "_number_sets")
+    family = gp.parse_family(spec)
+    g = gp.generate(family)
+    result = gp.solvers._solve(g, gp.DEFAULT_LIMITS, ("gpack",), want_witness=False)[0]
+    assert gp.gpack_value(g) == result.value == gp.formula_value(family, "gpack")
+    assert result.stats.nodes == 0 and result.witness is None and numberings == []
+
+
+@pytest.mark.parametrize("spec", ["cartesian(cycle:4,cycle:4)", "rook:5"])
+def test_a_gpack_value_the_greedy_falls_short_of_numbers_once(monkeypatch, spec):
+    numberings = _counted(monkeypatch, gp.solvers, "_number_sets")
+    g = gp.generate(gp.parse_family(spec))
+    value = gp.gpack_value(g)
+    assert len(numberings) == 1
+    assert value == gp.gpack_report(g).value
+
+
+def test_gpack_value_on_graphs_without_edges():
+    # The empty catalog has no shortest entry, so it goes to the search.
+    assert gp.gpack_value(gp.Graph.from_edges(0, [])) == 0
+    assert gp.gpack_value(gp.Graph.from_edges(3, [])) == 3
+
+
 def test_value_solves_keep_nothing(monkeypatch):
     import geopack.geodesics
 
@@ -685,7 +715,14 @@ def test_a_kept_catalog_solves_like_a_fresh_one():
     rng = random.Random(18)
     graphs = [random_graph(rng.randint(8, 16), rng.uniform(0.15, 0.5), rng) for _ in range(10)]
     graphs += [gp.random_tree(rng.randint(10, 40), rng) for _ in range(10)]
-    solves = (gp.gpack_report, gp.gt_report, gp.gpack_report, gp.gpack_value, gp.gt_value)
+    # A cold gpack value solve settles these from the greedy packing; a warm
+    # one reads the kept catalog and searches it, with the same nodes.
+    graphs += [gp.diagonal_grid((3, 4)), gp.diagonal_grid((2, 2, 3))]
+
+    def gpack_value_solve(g):
+        return gp.solvers._solve(g, gp.DEFAULT_LIMITS, ("gpack",), want_witness=False)[0]
+
+    solves = (gp.gpack_report, gp.gt_report, gp.gpack_report, gp.gpack_value, gpack_value_solve, gp.gt_value)
 
     def outcome(result):
         return result if isinstance(result, int) else (result.value, result.witness, result.stats.nodes)

@@ -359,7 +359,7 @@ def _parse_spec(s: str) -> tuple[FamilySpec, str]:
     kind = f"{name}_product"
     if kind in _PRODUCTS:
         if not rest.startswith("("):
-            raise SpecError(f"{name} product needs '({name} a,b)' syntax")
+            raise SpecError(f"{name} product needs '{name}(a,b)' syntax")
         left, rest = _parse_spec(rest[1:])
         if not rest.startswith(","):
             raise SpecError("product needs two comma-separated operands")

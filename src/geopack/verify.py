@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from . import SUITE_NAMES
 from .errors import BudgetExceeded, Unsupported
 from .formulas import diagonal_grid_packing, formula_value, rook_complement_set
-from .geodesics import complete_catalog
+from .geodesics import _bfs, complete_catalog
 from .graphs import FamilySpec, Graph, diagonal_grid, generate, rook_graph
 from .solvers import (
     DEFAULT_LIMITS,
@@ -82,15 +82,7 @@ def random_connected_bipartite_max3(n: int, rng: random.Random) -> Graph:
         if all(seq.count(a) <= 2 for a in set(seq)):
             break
     tree = tree_from_pruefer(seq, n)
-    colour = [-1] * n
-    colour[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in tree.adj[u]:
-            if colour[w] < 0:
-                colour[w] = 1 - colour[u]
-                stack.append(w)
+    colour = [d & 1 for d in _bfs(tree.adj, 0)[0]]  # a tree's BFS layers alternate sides
     adj = [set(nbrs) for nbrs in tree.adj]
     for u in range(n):
         for v in range(u + 1, n):

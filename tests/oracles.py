@@ -255,3 +255,19 @@ def reduce_reference(live: int, forbidden: int, sets, covers) -> tuple[int, int,
                 picked |= 1 << r
                 taken |= low
                 live &= ~covers[r]
+
+
+def greedy_cover_reference(uncovered: int, stars: list[int]) -> int:
+    """The greedy cover as first written: each pick rescans every star and
+    takes the one holding the most uncovered sets, the lowest on ties.
+    Returns the mask of the star indices taken."""
+    picked = 0
+    while uncovered:
+        best_i, best_c = 0, 0
+        for i, s in enumerate(stars):
+            c = (s & uncovered).bit_count()
+            if c > best_c:
+                best_c, best_i = c, i
+        uncovered &= ~stars[best_i]
+        picked |= 1 << best_i
+    return picked

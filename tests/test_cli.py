@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -290,6 +291,28 @@ def test_verify_suite_table_names_every_suite():
     from geopack.verify import _SUITES
 
     assert (*_SUITES, "all") == SUITE_NAMES
+
+
+def test_verify_library_rejects_bad_input():
+    from geopack.verify import random_connected_bipartite_max3, run_suite
+
+    with pytest.raises(ValueError, match="^unknown suite 'nope'"):
+        run_suite("nope")
+    with pytest.raises(ValueError, match="^bipartite generator needs n >= 3$"):
+        random_connected_bipartite_max3(2, random.Random(5))
+
+
+def test_reduction_inputs_are_connected_bipartite_of_degree_at_most_three():
+    import networkx as nx
+
+    from geopack.verify import random_connected_bipartite_max3
+
+    rng = random.Random(5)
+    for n in range(3, 30):
+        g = random_connected_bipartite_max3(n, rng)
+        h = nx.Graph(g.edges())
+        assert h.number_of_nodes() == n and nx.is_connected(h) and nx.is_bipartite(h)
+        assert max(d for _, d in h.degree) <= 3
 
 
 def test_verify_all_prints_the_suites_in_table_order(capsys):

@@ -61,6 +61,12 @@ def test_formula_hypothesis_violations():
         gp.formula_value(spec("diagonal_grid", 5), "gpack")
     with pytest.raises(ValueError):
         gp.formula_value(spec("path", 4), "chromatic")
+    with pytest.raises(DomainError, match="^path formula needs n >= 1$"):
+        gp.formula_value(spec("path", 0), "gpack")
+    with pytest.raises(DomainError, match="^rook formula needs n >= 1$"):
+        gp.formula_value(spec("rook", 0), "gt")
+    with pytest.raises(DomainError, match=r"^complete takes 1 parameter\(s\)$"):
+        gp.formula_value(spec("complete", 2, 3), "gt")
 
 
 def test_formulas_match_solver_at_small_parameters():

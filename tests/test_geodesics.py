@@ -193,6 +193,8 @@ def test_cap_truncates_catalog():
     assert not catalog.complete and catalog.count == 4
     with pytest.raises(EnumerationOverflow):
         gp.shortest_maximal_geodesic_length(catalog)
+    with pytest.raises(ValueError, match="^cap must be positive$"):
+        gp.enumerate_maximal_geodesics(gp.complete_graph(5), cap=0)
 
 
 def test_complete_catalog_refuses_a_capped_prefix():

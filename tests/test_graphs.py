@@ -62,6 +62,22 @@ def test_parse_id_above_header_count():
         gp.parse_edge_list("n 2\n0 5")
 
 
+MALFORMED_EDGE_LISTS = {
+    "n": "line 1: malformed header 'n'",
+    "n x": "line 1: malformed vertex count 'x'",
+    "n -1": "line 1: negative vertex count",
+    "1 2 3": "line 1: expected 'u v', got '1 2 3'",
+    "-1 2": "line 1: negative vertex id",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_EDGE_LISTS)
+def test_parse_malformed_line(text):
+    with pytest.raises(ParseError) as info:
+        gp.parse_edge_list(text)
+    assert str(info.value) == MALFORMED_EDGE_LISTS[text]
+
+
 def test_parse_crlf_accepted():
     g = gp.parse_edge_list("0 1\r\n1 2\r\n")
     assert g.edge_count == 2
@@ -95,6 +111,18 @@ def test_from_edges_validation():
         gp.Graph.from_edges(2, [(0, 3)])
     with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
         gp.Graph.from_edges(3, [(1, 2), (2, 1)])
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        gp.Graph.from_edges(-1, [])
+    with pytest.raises(ValueError, match="^labels must cover exactly the vertex set$"):
+        gp.Graph.from_edges(2, [(0, 1)], labels=((0,),))
+    with pytest.raises(ValueError, match="^labels must be distinct$"):
+        gp.Graph.from_edges(2, [(0, 1)], labels=((0,), (0,)))
+
+
+def test_label_index_needs_labels():
+    assert gp.path_graph(2).label_index() == {(0,): 0, (1,): 1}
+    with pytest.raises(DomainError, match="^graph has no coordinate labels$"):
+        gp.Graph.from_edges(2, [(0, 1)]).label_index()
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +188,22 @@ def test_generate_wrong_arity(text):
     with pytest.raises(SpecError) as info:
         gp.generate(gp.parse_family(text))
     assert str(info.value) == WRONG_ARITY[text]
+
+
+SIZE_ZERO = {
+    "path:0": "path requires n >= 1",
+    "star:0": "star requires n >= 1",
+    "rook:0": "rook requires n >= 1",
+    "complete_bipartite:0,2": "complete_bipartite requires m, n >= 1",
+    "diagonal_grid:0": "diagonal_grid requires at least one dimension, all >= 1",
+}
+
+
+@pytest.mark.parametrize("text", SIZE_ZERO)
+def test_generate_size_zero(text):
+    with pytest.raises(SpecError) as info:
+        gp.generate(gp.parse_family(text))
+    assert str(info.value) == SIZE_ZERO[text]
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +386,26 @@ def test_parse_family_errors():
             gp.parse_family(bad)
 
 
+BAD_SPEC_TEXT = {
+    "!": "cannot parse family spec at '!'",
+    "strong path:3": "strong product needs 'strong(a,b)' syntax",
+    "strong(path:3,path:4": "unbalanced parentheses in family spec",
+}
+
+
+@pytest.mark.parametrize("text", BAD_SPEC_TEXT)
+def test_parse_family_error_messages(text):
+    with pytest.raises(SpecError) as info:
+        gp.parse_family(text)
+    assert str(info.value) == BAD_SPEC_TEXT[text]
+
+
 def test_generate_bad_params():
     with pytest.raises(SpecError):
         gp.generate(gp.FamilySpec("complete", (0,)))
     with pytest.raises(SpecError):
         gp.generate(gp.FamilySpec("complete", (2, 3)))
+    with pytest.raises(SpecError, match="^unknown family kind 'nope'$"):
+        gp.generate(gp.FamilySpec("nope", (1,)))
+    with pytest.raises(SpecError, match="^cartesian_product needs exactly two operands$"):
+        gp.generate(gp.FamilySpec("cartesian_product", (), (gp.FamilySpec("path", (2,)),)))

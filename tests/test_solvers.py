@@ -268,6 +268,17 @@ def test_reduce_matches_the_all_vertex_reference(instance):
     assert gp.solvers._reduce(*instance) == reduce_reference(*instance)
 
 
+@given(reduce_instances())
+@settings(max_examples=200)
+def test_greedy_cover_matches_the_rescan_reference(instance):
+    # Recounting only the stars whose last count beats the best so far takes
+    # the same stars, ties to the lowest index, as recounting every star.
+    from oracles import greedy_cover_reference
+
+    live, _, sets, covers = instance
+    assert gp.solvers._greedy_cover(live, covers) == greedy_cover_reference(live, covers)
+
+
 # (kind, seed, gpack value, gpack report nodes, gt value, gt report nodes)
 PINNED_NODES = [
     ("tree", 0, 7, 19, 7, 21),
@@ -683,7 +694,7 @@ def test_gpack_value_on_graphs_without_edges():
     assert gp.gpack_value(gp.Graph.from_edges(3, [])) == 3
 
 
-def test_value_solves_keep_nothing(monkeypatch):
+def test_every_solve_that_numbers_keeps_its_catalog(monkeypatch):
     import geopack.geodesics
 
     kept_while_enumerating = []
@@ -694,14 +705,15 @@ def test_value_solves_keep_nothing(monkeypatch):
         return enumerate_(*args, **kwargs)
 
     monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", watching)
-    gp.gt_report(gp.rook_graph(3))
+    assert gp.gt_value(gp.rook_graph(3)) == 5
+    assert gp.solvers._kept is not None and gp.solvers._kept[0][0] == 9
     assert gp.gpack_value(gp.rook_graph(3)) == 3  # reads the kept catalog
-    assert len(kept_while_enumerating) == 1 and gp.solvers._kept is not None
-    assert gp.gt_value(gp.rook_graph(4)) == 10
-    assert kept_while_enumerating == [None, None] and gp.solvers._kept is None
-    gp.gt_report(gp.rook_graph(3))
-    gp.gt_report(gp.rook_graph(4))  # the old entry goes before the new catalog is built
-    assert kept_while_enumerating == [None] * 4 and gp.solvers._kept is not None
+    assert kept_while_enumerating == [None]
+    assert gp.gt_value(gp.rook_graph(4)) == 10  # the old entry goes before the new catalog is built
+    assert kept_while_enumerating == [None, None] and gp.solvers._kept[0][0] == 16
+    # A gpack value the greedy packing settles numbers nothing, so keeps nothing.
+    assert gp.gpack_value(gp.diagonal_grid((4, 4))) == 4
+    assert kept_while_enumerating == [None] * 3 and gp.solvers._kept is None
 
 
 def test_a_capped_catalog_is_never_kept():

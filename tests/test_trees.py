@@ -119,6 +119,7 @@ def test_single_vertex_tree():
 
 def test_empty_graph():
     assert gp.gpack_tree(gp.Graph.from_edges(0, [])) == (0, gp.LeafPairSet(()))
+    assert not gp.is_tree(gp.Graph.from_edges(0, []))
 
 
 def test_non_trees_rejected():
@@ -235,6 +236,11 @@ def test_random_tree_is_deterministic_per_seed():
     a = gp.random_tree(20, random.Random(9))
     b = gp.random_tree(20, random.Random(9))
     assert a == b and gp.is_tree(a)
+
+
+def test_random_tree_needs_a_vertex():
+    with pytest.raises(DomainError, match="^random tree needs n >= 1$"):
+        gp.random_tree(0, random.Random(9))
 
 
 def test_random_tree_on_two_vertices_draws_nothing():

@@ -1,4 +1,8 @@
-"""Distances, geodesic predicates, and exhaustive maximal-geodesic enumeration."""
+"""Distances, geodesic predicates, and exhaustive maximal-geodesic enumeration.
+
+The maximal pairs (``_maximal_pairs``) come first; the enumeration, the
+greedy packing that settles a gpack value and the transversal check read them.
+"""
 
 from __future__ import annotations
 
@@ -169,29 +173,20 @@ def is_maximal_geodesic(g: Graph, p: Geodesic | Sequence[int]) -> bool:
     return bool(sinks >> v & 1) and bool(_bfs(g.adj, v)[2] >> u & 1)
 
 
-def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCatalog:
-    """Enumerate every maximal geodesic of ``g``, up to ``cap`` entries.
+def _maximal_pairs(adj: Sequence[Sequence[int]]) -> list[tuple[int, list[int], list[int], list[int]]]:
+    """The pair pass: ``(u, partners, dist, order)`` for every source u with
+    a maximal partner v >= u, ascending, with the partners ascending and u's
+    BFS row and order.
 
-    One BFS per source u gives its layers and its sinks: the reached vertices
-    with no neighbour one layer further from u.  A geodesic from u to v
-    extends past v exactly when v is not a sink of u, so (u, v) is a maximal
-    pair when v is a sink of u and u a sink of v; an isolated vertex is its
-    own sink and contributes the single-vertex geodesic (u,).  A cut vertex
-    is a sink of no BFS, so only the k vertices that are not cut vertices
-    (in a tree, the leaves) are sources.  For each source with partners
-    v >= u, a reverse sweep of its layers, seeded with the partners, pushes
-    each vertex on a geodesic to a partner onto its neighbours one layer
-    closer to u (Brandes' accumulation over the shortest-path DAG), so a
-    vertex on none scans no edge; one depth-first walk from u then lists
-    the geodesics, lowest neighbour first, so the catalog comes out
-    sorted.  The work is O(k*|E|) plus the size of the output, after one
-    lowpoint DFS for the cut vertices.  If there are more than ``cap``
-    entries the catalog holds the lexicographically first ``cap`` of them
-    with ``complete=False``; ``complete_catalog`` refuses such a catalog.
+    One BFS per source gives its sinks: the reached vertices with no
+    neighbour one layer further from u.  A geodesic from u to v extends past
+    v exactly when v is not a sink of u, so (u, v) is a maximal pair when v
+    is a sink of u and u a sink of v; an isolated vertex is its own partner.
+    Every geodesic between a maximal pair is maximal.  Only the k vertices
+    that are not cut vertices (in a tree, the leaves) are sources: O(k*|E|)
+    after one lowpoint DFS.
     """
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    n, adj = g.n, g.adj
+    n = len(adj)
     # Sources in descending order, so the sinks of every v > u are known when
     # u's partners are read off; only sources with partners keep their BFS.
     # A cut vertex c is never a sink: some part of the graph cut off by c
@@ -205,18 +200,34 @@ def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCat
         if cut >> u & 1:
             continue
         dist, order, sinks[u] = _bfs(adj, u)
-        partners = set()
+        partners = []
         rest = sinks[u] >> u
         while rest:
             low = rest & -rest
             v = u + low.bit_length() - 1
             if sinks[v] >> u & 1:
-                partners.add(v)
+                partners.append(v)
             rest ^= low
         if partners:
             sources.append((u, partners, dist, order))
+    sources.reverse()
+    return sources
+
+
+def _list_geodesics(
+    adj: Sequence[Sequence[int]], sources: list[tuple[int, list[int], list[int], list[int]]], cap: int
+) -> GeodesicCatalog:
+    """The walk: the maximal geodesics between the pairs of ``_maximal_pairs``,
+    sorted, up to ``cap`` entries.
+
+    Per source u, a reverse sweep of u's layers, seeded with the partners,
+    pushes each vertex on a geodesic to a partner onto its neighbours one
+    layer closer to u (Brandes' accumulation over the shortest-path DAG), so
+    a vertex on none scans no edge; one depth-first walk from u then lists
+    the geodesics, lowest neighbour first.
+    """
     paths: list[tuple[int, ...]] = []
-    for u, partners, dist, order in reversed(sources):
+    for u, partners, dist, order in sources:
         # Sweep u's layers from the outermost inward, starting from the
         # partners: each kept vertex joins the kids of its neighbours one layer
         # closer to u, and so keeps them.  The kept vertices are those on a
@@ -254,6 +265,106 @@ def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCat
             else:
                 paths.append((*path, y))
     return GeodesicCatalog(tuple(paths), True, cap)
+
+
+def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCatalog:
+    """Enumerate every maximal geodesic of ``g``, up to ``cap`` entries.
+
+    The pair pass (``_maximal_pairs``) finds the maximal pairs, and the walk
+    (``_list_geodesics``) lists the geodesics between them, sorted, in
+    O(k*|E|) for k sources plus the size of the output.  If there are more
+    than ``cap`` entries the catalog holds the lexicographically first
+    ``cap`` of them with ``complete=False``; ``complete_catalog`` refuses
+    such a catalog.
+    """
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    return _list_geodesics(g.adj, _maximal_pairs(g.adj), cap)
+
+
+def _first_geodesic(
+    adj: Sequence[Sequence[int]], dist: Sequence[int], u: int, length: int, ends: set[int], used: bytearray
+) -> list[int] | None:
+    # The lexicographically least path from u down u's BFS layers (``dist``)
+    # through unused vertices to a vertex of ``ends`` at depth ``length``, or
+    # None.  Depth first, lowest neighbour first; a vertex found to lead to
+    # no such end stays dead, so a search costs O(|E|).
+    if not length:
+        return [u]
+    path = [u]
+    dead = set()
+    stack = [iter(adj[u])]
+    while stack:
+        depth = len(path)
+        for y in stack[-1]:
+            if dist[y] == depth and not used[y] and y not in dead:
+                if depth < length:
+                    path.append(y)
+                    stack.append(iter(adj[y]))
+                    break
+                if y in ends:
+                    path.append(y)
+                    return path
+        else:
+            stack.pop()
+            dead.add(path.pop())
+    return None
+
+
+def _greedy_settles(adj: Sequence[Sequence[int]], pairs: list) -> int | None:
+    """``n // (d + 1)``, d the shortest pair distance, if the greedy packing
+    of ``solvers._greedy_disjoint`` over the sorted catalog reaches it, else None.
+
+    That packing goes shortest first, then in catalog order, so by source u:
+    each unused u takes its lexicographically least geodesic of the length
+    through unused vertices, and a used or refuted u stays so.  It gives up
+    once the unused vertices cannot make up the bound.
+    """
+    classes: dict[int, list] = {}  # length -> the sources with a partner that far, ascending
+    for source in pairs:
+        _, partners, dist, _ = source
+        for length in {dist[v] for v in partners}:
+            classes.setdefault(length, []).append(source)
+    if not classes:
+        return None
+    bound = len(adj) // (min(classes) + 1)
+    used = bytearray(len(adj))
+    free = len(adj)
+    count = 0
+    for length in sorted(classes):
+        if count + free // (length + 1) < bound:
+            return None
+        for u, partners, dist, _ in classes[length]:
+            if used[u]:
+                continue
+            path = _first_geodesic(adj, dist, u, length, set(partners), used)
+            if path is not None:
+                for x in path:
+                    used[x] = 1
+                free -= length + 1
+                count += 1
+                if count == bound:
+                    return bound
+    return None
+
+
+def _is_transversal(g: Graph, vertices: Sequence[int]) -> bool:
+    """True iff ``vertices`` (S) meets every maximal geodesic of ``g``, with no catalog.
+
+    A maximal geodesic missing S is a path of G - S between its maximal pair
+    as long as their distance in G, and such a path is a geodesic of G, so
+    maximal.  So S is a transversal exactly when no maximal pair outside S
+    keeps its distance in G - S: one BFS of G - S per source outside S (a
+    partner in S is unreached there).
+    """
+    hit = set(vertices)
+    rest = [() if x in hit else tuple(y for y in nbrs if y not in hit) for x, nbrs in enumerate(g.adj)]
+    for u, partners, dist, _ in _maximal_pairs(g.adj):
+        if u not in hit:
+            far = _bfs(rest, u)[0]
+            if any(far[v] == dist[v] for v in partners):
+                return False
+    return True
 
 
 def complete_catalog(

@@ -8,10 +8,11 @@ solver state grows with the square of the catalog.  A solve asking for both
 invariants enumerates and numbers once.  Every solve that numbers a catalog
 keeps it (``_kept``) for the next solve of the same graph and cap, and
 releases the old one before enumerating, so at most one catalog is alive.
-A value-only gpack solve numbers nothing, so keeps nothing, when the greedy
+A value-only gpack solve lists, numbers and keeps nothing when the greedy
 packing meets n // (the order of the shortest entry), as on the diagonal
-grids; its value and its 0 nodes are what numbering and searching would
-give.
+grids: it finds that packing from the maximal pairs alone, so no cap
+applies, and its value and its 0 nodes are what numbering and searching
+would give.
 
 Both engines are branch and bound, as gpack is NP-complete: ``_pack`` packs
 pairwise disjoint sets (gpack, and the induced-P3 packing of the reduction)
@@ -40,6 +41,9 @@ from .geodesics import (
     DEFAULT_CAP,
     Geodesic,
     GeodesicCatalog,
+    _greedy_settles,
+    _list_geodesics,
+    _maximal_pairs,
     complete_catalog,
     shortest_maximal_geodesic_length,
 )
@@ -57,7 +61,8 @@ class _LimitFields(NamedTuple):  # a NamedTuple body cannot override __new__
 
 
 class SolveLimits(_LimitFields):
-    """Resource ceilings for the exact solvers, each positive."""
+    """Resource ceilings for the exact solvers, each positive.  A settled
+    value-only gpack solve lists no catalog, so ``max_geodesics`` never stops it."""
 
     __slots__ = ()
 
@@ -111,29 +116,30 @@ class DualityReport(NamedTuple):
 class _Budget:
     """Node/time accounting for one solve, witness extraction included.
 
-    A stop raises ``BudgetExceeded`` naming the solve (``what``), with the
-    root bounds its engine set in ``lower`` and ``upper`` before searching.
+    The time budget runs from ``started``, the start of the solve.  A stop
+    raises ``BudgetExceeded`` naming the solve (``what``), with the root
+    bounds its engine set in ``lower`` and ``upper`` before searching.
     """
 
     __slots__ = ("what", "node_budget", "deadline", "nodes", "lower", "upper")
 
-    def __init__(self, what: str, limits: SolveLimits) -> None:
+    def __init__(self, what: str, limits: SolveLimits, started: float) -> None:
         self.what = what
         self.node_budget = limits.node_budget
-        self.deadline = time.monotonic() + limits.time_budget
+        self.deadline = started + limits.time_budget
         self.nodes = 0
         self.lower: int | None = None
         self.upper: int | None = None
 
     def spend(self) -> None:
-        # The clock is read every 256 nodes: time.monotonic() costs about
-        # 0.1 us, and reading it at every node took a call here from
-        # 0.10-0.17 to 0.16-0.27 us (best of 3 x 10^6 calls, Python 3.11,
-        # 2-vCPU machine).
+        # The clock is read at the first node, then every 256 nodes:
+        # time.monotonic() costs about 0.1 us, and reading it at every node
+        # took a call here from 0.10-0.17 to 0.16-0.27 us (best of 3 x 10^6
+        # calls, Python 3.11, 2-vCPU machine).
         self.nodes += 1
         if self.nodes > self.node_budget:
             reason = "search node budget exhausted"
-        elif self.nodes % 256 == 0 and time.monotonic() > self.deadline:
+        elif self.nodes % 256 == 1 and time.monotonic() > self.deadline:
             reason = "time budget exhausted"
         else:
             return
@@ -177,23 +183,6 @@ def _greedy_disjoint(uncovered: int, sets: Sequence[Sequence[int]], covers: Sequ
         for v in sets[low.bit_length() - 1]:
             uncovered &= ~covers[v]
     return picked
-
-
-def _greedy_reaches(sets: Sequence[Sequence[int]], bound: int) -> bool:
-    # The packing of ``_greedy_disjoint``, shortest first with ties in input
-    # order, but over the unnumbered sets, as it must not need the stars:
-    # True once it holds ``bound`` sets.  One isdisjoint call tests a whole
-    # set, 2.6 times as fast as a per-vertex bytearray test on the catalog
-    # grids (Python 3.11, one core of a 2-vCPU machine).
-    used: set[int] = set()
-    count = 0
-    for vertices in sorted(sets, key=len):
-        if used.isdisjoint(vertices):
-            used.update(vertices)
-            count += 1
-            if count == bound:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +556,13 @@ def _solve(
     before it can be kept.  The engines only read the numbered state, so a
     kept catalog gives the same results as a fresh one.
 
-    A value-only gpack solve that misses ``_kept`` numbers nothing when the
-    greedy packing meets ``gpack_upper_bound``, which caps every packing: it
-    returns the bound with 0 nodes, as ``_pack`` would, whose greedy is this
-    one and whose fractional bound is at most the same.  Witness,
-    both-invariant and ``_kept`` solves never take this path.
+    A value-only gpack solve that misses ``_kept`` runs the pair pass and
+    lists no path when the greedy packing meets ``gpack_upper_bound``, which
+    caps every packing (``geodesics._greedy_settles``): it returns the bound
+    with 0 nodes, as ``_pack`` would, whose greedy is this one and whose
+    fractional bound is at most the same.  Otherwise it lists the catalog
+    from that pair pass.  Witness, both-invariant and ``_kept`` solves never
+    take this path.
     """
     global _kept
     started = time.monotonic()
@@ -580,16 +571,20 @@ def _solve(
         numbered = _kept[1]
     else:
         _kept = None
-        catalog = complete_catalog(g, limits.max_geodesics)
-        if not want_witness and tuple(invariants) == ("gpack",) and catalog.paths:
-            bound = gpack_upper_bound(g, catalog)
-            if _greedy_reaches(catalog.paths, bound):
-                return [SolveResult(bound, None, SolveStats(0, int((time.monotonic() - started) * 1000)))]
+        cap = limits.max_geodesics
+        if not want_witness and tuple(invariants) == ("gpack",):
+            pairs = _maximal_pairs(g.adj)
+            value = _greedy_settles(g.adj, pairs)
+            if value is not None:
+                return [SolveResult(value, None, SolveStats(0, int((time.monotonic() - started) * 1000)))]
+            catalog = complete_catalog(g, cap, _list_geodesics(g.adj, pairs, cap))
+        else:
+            catalog = complete_catalog(g, cap)
         numbered = _number_sets(catalog.paths, g.n)
         _kept = (key, numbered)
     results = []
     for invariant in invariants:
-        budget = _Budget(f"{invariant} search", limits)
+        budget = _Budget(f"{invariant} search", limits, started)
         if invariant == "gpack":
             value, chosen = _pack(numbered, budget, want_witness)
             witness = None if chosen is None else Packing(tuple(Geodesic(p) for p in chosen))
@@ -605,8 +600,9 @@ def _solve(
 def gpack_value(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
     """Exact gpack value without witness extraction (faster for sweeps).
 
-    Settled without numbering the catalog when the greedy packing meets
-    ``gpack_upper_bound``; the value is the same either way.
+    Settled from the maximal pairs, with no catalog listed, when the greedy
+    packing meets ``gpack_upper_bound``; the value is the same either way,
+    and ``limits.max_geodesics`` does not stop such a solve.
     """
     return _solve(g, limits, ("gpack",), want_witness=False)[0].value
 
@@ -668,8 +664,9 @@ def _induced_p3_paths(g: Graph) -> list[tuple[int, int, int]]:
 
 def induced_p3_packing_exact(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
     """Maximum number of vertex-disjoint induced three-vertex paths."""
+    started = time.monotonic()
     numbered = _number_sets(_induced_p3_paths(g), g.n)
-    return _pack(numbered, _Budget("induced P3 packing", limits), want_witness=False)[0]
+    return _pack(numbered, _Budget("induced P3 packing", limits, started), want_witness=False)[0]
 
 
 def verify_np_reduction(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:

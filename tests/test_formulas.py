@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import geopack as gp
-from geopack.errors import DomainError, EnumerationOverflow, Unsupported
+from geopack.errors import DomainError, Unsupported
 
 
 def spec(kind: str, *params: int) -> gp.FamilySpec:
@@ -155,10 +155,17 @@ def test_rook_complement_requires_two():
         gp.rook_complement_set(1)
 
 
-def test_rook_complement_refuses_a_capped_catalog():
-    # rook:19 has 116,964 maximal geodesics; checking the first 100,000 proves nothing.
-    with pytest.raises(EnumerationOverflow, match="catalog exceeded 100000 entries"):
-        gp.rook_complement_set(19)
+def test_rook_complement_is_checked_without_a_catalog(monkeypatch):
+    # rook:19 has 116,964 maximal geodesics, past the default cap; the check
+    # reads the maximal pairs and lists none of them.
+    import geopack.geodesics
+
+    def listing(*args, **kwargs):
+        raise AssertionError("a catalog was listed")
+
+    monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", listing)
+    monkeypatch.setattr(geopack.geodesics, "_list_geodesics", listing)
+    assert len(gp.rook_complement_set(19)) == 36
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,18 @@ def test_catalog_matches_networkx_on_a_dense_benchmark_grid():
     assert list(gp.enumerate_maximal_geodesics(g).paths) == nx_maximal_geodesics(g)
 
 
+@given(graphs_st(min_n=0, max_n=9), st.data())
+@settings(max_examples=200)
+def test_transversal_check_matches_the_catalog(g, data):
+    # Random sets, an optimal transversal, and that transversal less one vertex.
+    paths = gp.enumerate_maximal_geodesics(g).paths
+    chosen = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    optimal = list(gp.gt_report(g).witness.vertices)
+    for vertices in (chosen, optimal, optimal[1:]):
+        hits_all = all(not set(vertices).isdisjoint(p) for p in paths)
+        assert gp.geodesics._is_transversal(g, vertices) == hits_all
+
+
 @given(graphs_st(max_n=7))
 @settings(max_examples=30)
 def test_enumerated_geodesics_have_no_extension(g):

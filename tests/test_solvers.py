@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 import geopack as gp
 from geopack.cli import main
-from geopack.errors import BudgetExceeded, ContractViolation, DomainError
+from geopack.errors import BudgetExceeded, ContractViolation, DomainError, EnumerationOverflow
 from geopack.verify import random_graph
 
 from conftest import graphs_st, trees_st
 from oracles import (
+    greedy_reaches_reference,
+    nx_maximal_geodesics,
     oracle_gpack,
     oracle_gt,
     oracle_induced_p3_packing,
@@ -188,7 +191,7 @@ def test_reduce_forces_and_drops_the_higher_of_equal_stars(spec, picked_without_
     assert gp.solvers._reduce(everything, 0, sets, covers)[:3] == (0, 0b11111, 0b1)
     assert gp.solvers._reduce(everything, 0b1, sets, covers)[2] == picked_without_0
     assert gp.solvers._reduce(everything, 0b11111, sets, covers) == (everything, 0b11111, 0, 0)
-    budget = gp.solvers._Budget("gt search", gp.SolveLimits())
+    budget = gp.solvers._Budget("gt search", gp.SolveLimits(), time.monotonic())
     assert gp.solvers._hs_search(everything, 0b11111, g.n + 1, 0, sets, covers, budget) is None
 
 
@@ -526,7 +529,7 @@ def _fractional_bound(paths: tuple[tuple[int, ...], ...], n: int) -> int:
 def test_solver_properties_at_n_15_to_30(g):
     paths = gp.complete_catalog(g).paths
     catalog = set(paths)
-    budget = gp.solvers._Budget("gpack search", gp.DEFAULT_LIMITS)
+    budget = gp.solvers._Budget("gpack search", gp.DEFAULT_LIMITS, time.monotonic())
     gp.solvers._pack(gp.solvers._number_sets(paths, g.n), budget, want_witness=False)
     bound = _fractional_bound(paths, g.n)
     cold = []
@@ -586,11 +589,20 @@ def test_root_certified_gpack_witness_needs_no_search():
 
 
 def test_time_budget_exceeded():
-    # The clock is read every 256 nodes; a stop names the solve and its root bounds.
+    # The budget counts from the start of the solve and the clock is first
+    # read at node 1; a stop names the solve and its root bounds.
     with pytest.raises(BudgetExceeded) as info:
         gp.gt_value(gp.rook_graph(5), gp.SolveLimits(time_budget=1e-9))
     assert str(info.value) == "gt search stopped: time budget exhausted"
-    assert (info.value.lower, info.value.upper, info.value.nodes) == (7, 19, 256)
+    assert (info.value.lower, info.value.upper, info.value.nodes) == (7, 19, 1)
+
+
+def test_the_time_budget_counts_from_the_start_of_the_solve():
+    # The work before the search (enumeration, numbering, root bounds) counts.
+    budget = gp.solvers._Budget("gt search", gp.SolveLimits(time_budget=1.0), time.monotonic() - 2.0)
+    with pytest.raises(BudgetExceeded, match="time budget exhausted") as info:
+        budget.spend()
+    assert info.value.nodes == 1
 
 
 def test_p3_packing_budget_exceeded():
@@ -688,6 +700,60 @@ def test_a_gpack_value_the_greedy_falls_short_of_numbers_once(monkeypatch, spec)
     assert value == gp.gpack_report(g).value
 
 
+def test_the_catalog_grids_settle_without_a_catalog(monkeypatch):
+    import geopack.geodesics
+
+    def listing(*args, **kwargs):
+        raise AssertionError("a catalog was listed")
+
+    monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", listing)
+    monkeypatch.setattr(gp.solvers, "_list_geodesics", listing)
+    for spec in ("7,7", "6,8", "4,4,4", "7,8", "3,3,3,3", "8,8"):
+        family = gp.parse_family(f"diagonal_grid:{spec}")
+        assert gp.gpack_value(gp.generate(family)) == gp.formula_value(family, "gpack")
+
+
+@st.composite
+def sparse_or_dense_graphs(draw):
+    # G(n, p) for n = 0..14: disconnected graphs and isolated vertices included.
+    n = draw(st.integers(0, 14))
+    p = draw(st.sampled_from([0.1, 0.2, 0.35, 0.6, 0.9]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return gp.Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+@given(sparse_or_dense_graphs())
+@settings(max_examples=300)
+def test_the_pair_greedy_matches_the_greedy_over_the_catalog(g):
+    catalog = gp.enumerate_maximal_geodesics(g)
+    assert list(catalog.paths) == nx_maximal_geodesics(g)
+    pairs = gp.geodesics._maximal_pairs(g.adj)
+    settled = gp.geodesics._greedy_settles(g.adj, pairs)
+    if not catalog.paths:
+        assert g.n == 0 and settled is None
+        return
+    bound = gp.gpack_upper_bound(g, catalog)
+    assert settled == (bound if greedy_reaches_reference(catalog.paths, bound) else None)
+
+
+def test_a_settled_gpack_value_needs_no_catalog_past_the_cap():
+    # diagonal_grid:5,5 has more than 50 maximal geodesics.
+    capped = gp.SolveLimits(max_geodesics=50)
+    assert gp.gpack_value(gp.diagonal_grid((5, 5)), capped) == 5
+    # The witness needs the whole catalog, and rook:5's greedy falls short.
+    with pytest.raises(EnumerationOverflow, match="exceeded 50 entries"):
+        gp.gpack_report(gp.diagonal_grid((5, 5)), capped)
+    with pytest.raises(EnumerationOverflow, match="exceeded 10 entries"):
+        gp.gpack_value(gp.rook_graph(5), gp.SolveLimits(max_geodesics=10))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dims", [(10, 10), (30, 30), (5, 9, 13)])
+def test_settled_gpack_values_past_the_default_cap(dims):
+    family = gp.FamilySpec("diagonal_grid", dims)
+    assert gp.gpack_value(gp.generate(family)) == gp.formula_value(family, "gpack")
+
+
 def test_gpack_value_on_graphs_without_edges():
     # The empty catalog has no shortest entry, so it goes to the search.
     assert gp.gpack_value(gp.Graph.from_edges(0, [])) == 0
@@ -711,9 +777,9 @@ def test_every_solve_that_numbers_keeps_its_catalog(monkeypatch):
     assert kept_while_enumerating == [None]
     assert gp.gt_value(gp.rook_graph(4)) == 10  # the old entry goes before the new catalog is built
     assert kept_while_enumerating == [None, None] and gp.solvers._kept[0][0] == 16
-    # A gpack value the greedy packing settles numbers nothing, so keeps nothing.
+    # A gpack value the greedy packing settles lists no catalog and keeps nothing.
     assert gp.gpack_value(gp.diagonal_grid((4, 4))) == 4
-    assert kept_while_enumerating == [None] * 3 and gp.solvers._kept is None
+    assert kept_while_enumerating == [None, None] and gp.solvers._kept is None
 
 
 def test_a_capped_catalog_is_never_kept():

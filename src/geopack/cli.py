@@ -8,6 +8,8 @@ This module owns the JSON output format: the private ``_*_json`` helpers
 turn the library's records into the documents it prints, so no other module
 imports ``json``.  JSON output is byte-deterministic for a fixed input and
 seed (timings are suppressed there; text mode reports them).
+Each command imports the modules it runs when it runs, so a call compiles
+only those.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import SUITE_NAMES
 from .errors import BudgetExceeded, DomainError, ParseError, SpecError
-from .geodesics import GeodesicCatalog, enumerate_maximal_geodesics
 from .graphs import FamilySpec, Graph, generate, graph_to_edge_list, parse_edge_list, parse_family
-from .solvers import DEFAULT_LIMITS, SolveLimits, SolveResult, _solve, duality_check
-from .trees import LeafPairSet, gpack_tree
+
+if TYPE_CHECKING:
+    from .geodesics import GeodesicCatalog
+    from .solvers import SolveLimits, SolveResult
+    from .trees import LeafPairSet
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
@@ -32,23 +37,17 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_limit_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cap", type=int, default=DEFAULT_LIMITS.max_geodesics, help="maximal-geodesic enumeration cap"
-    )
-    parser.add_argument(
-        "--time-budget", type=float, default=DEFAULT_LIMITS.time_budget, help="solver time budget in seconds"
-    )
-    parser.add_argument(
-        "--node-budget", type=int, default=DEFAULT_LIMITS.node_budget, help="solver search-node budget"
-    )
+    # No defaults here: an option left out is left to SolveLimits.
+    parser.add_argument("--cap", type=int, help="maximal-geodesic enumeration cap")
+    parser.add_argument("--time-budget", type=float, help="solver time budget in seconds")
+    parser.add_argument("--node-budget", type=int, help="solver search-node budget")
 
 
 def _limits(args: argparse.Namespace) -> SolveLimits:
-    return SolveLimits(
-        max_geodesics=args.cap,
-        time_budget=args.time_budget,
-        node_budget=args.node_budget,
-    )
+    from .solvers import SolveLimits
+
+    given = {"max_geodesics": args.cap, "time_budget": args.time_budget, "node_budget": args.node_budget}
+    return SolveLimits(**{field: value for field, value in given.items() if value is not None})
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -79,6 +78,16 @@ def _catalog_json(catalog: GeodesicCatalog) -> dict:
     }
 
 
+def _catalog_document(catalog: GeodesicCatalog) -> str:
+    """``json.dumps(_catalog_json(catalog), indent=2)``, joined directly:
+    ``indent`` forces the pure-Python encoder, about 3x slower."""
+    if not catalog.paths:
+        return json.dumps(_catalog_json(catalog), indent=2)
+    entries = ",\n".join("    [\n      " + ",\n      ".join(map(str, p)) + "\n    ]" for p in catalog.paths)
+    head = f'{{\n  "complete": {json.dumps(catalog.complete)},\n  "count": {catalog.count},\n'
+    return head + '  "geodesics": [\n' + entries + "\n  ]\n}"
+
+
 def _result_json(invariant: str, result: SolveResult) -> dict:
     # A fixed key order; millis is zeroed so the output is reproducible.
     if invariant == "gpack":
@@ -100,6 +109,8 @@ def _tree_json(value: int, pairs: LeafPairSet) -> dict:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    from .solvers import _solve
+
     g = _load_graph(args)
     limits = _limits(args)
     wanted = ["gpack", "gt"] if args.invariant == "both" else [args.invariant]
@@ -112,17 +123,21 @@ def cmd_compute(args: argparse.Namespace) -> int:
         print(f"{invariant} = {result.value} (exact; nodes={result.stats.nodes}, millis={result.stats.millis})")
         if invariant == "gpack":
             for p in result.witness.geodesics:  # type: ignore[union-attr]
-                print("  geodesic:", " ".join(map(str, p.vertices)))
+                print("  geodesic:", *p.vertices)
         else:
-            print("  vertices:", " ".join(map(str, result.witness.vertices)))  # type: ignore[union-attr]
+            print("  vertices:", *result.witness.vertices)  # type: ignore[union-attr]
     return 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .geodesics import DEFAULT_CAP, enumerate_maximal_geodesics
+
     g = _load_graph(args)
-    catalog = enumerate_maximal_geodesics(g, cap=args.cap)
+    catalog = enumerate_maximal_geodesics(g, cap=DEFAULT_CAP if args.cap is None else args.cap)
     if args.format == "json":
-        _emit_json(_catalog_json(catalog))
+        # print writes the newline apart: when the reader has gone, a large
+        # write can end short without an error, and that second write raises.
+        print(_catalog_document(catalog))
     else:
         for p in catalog.paths:
             print(" ".join(map(str, p)))
@@ -140,6 +155,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
+    from .trees import gpack_tree
+
     g = _load_graph(args)
     value, pairs = gpack_tree(g)
     if args.format == "json":
@@ -186,7 +203,7 @@ _RATIO_FAMILIES = ("rook", "complete", "complete_bipartite")
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
-    from .verify import rook_ratio_curve
+    from .solvers import duality_check
 
     if args.min < 2:
         raise DomainError("ratio table needs n >= 2")
@@ -204,6 +221,8 @@ def cmd_ratio(args: argparse.Namespace) -> int:
             "ratio": str(report.ratio),
         }
         if args.family == "rook":
+            from .verify import rook_ratio_curve  # only the rook column needs the suites
+
             row["curve"] = str(rook_ratio_curve(n))
         rows.append(row)
     if args.format == "json":
@@ -234,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list every maximal geodesic")
     _add_input_options(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap", type=int, default=DEFAULT_LIMITS.max_geodesics)
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("generate", help="emit a named family as an edge list or JSON")

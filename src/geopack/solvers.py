@@ -48,7 +48,6 @@ from .geodesics import (
     shortest_maximal_geodesic_length,
 )
 from .graphs import Graph, derived_graph
-from .trees import gpack_tree, is_tree
 
 if TYPE_CHECKING:  # duality_check imports it when it runs
     from fractions import Fraction
@@ -644,6 +643,8 @@ def duality_check(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> DualityRepo
 def verify_tree_equality(t: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
     """Tree algorithm vs. exact transversal, cross-checked against exact packing
     solved from the same catalog."""
+    from .trees import gpack_tree, is_tree  # the tree oracle loads only for this check
+
     if not is_tree(t):
         raise DomainError("equality check needs a tree")
     gt, gpack = (r.value for r in _solve(t, limits, ("gt", "gpack"), want_witness=False))

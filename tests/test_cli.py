@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -8,8 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import graphs_st
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geopack.cli import main
+from geopack import enumerate_maximal_geodesics, graph_to_edge_list
+from geopack.cli import _catalog_json, main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIG1 = str(ROOT / "data" / "fig1.edges")
@@ -68,6 +74,17 @@ def test_both_invariant_solves_number_the_catalog_once(capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_compute_text_has_no_trailing_space(capsys, monkeypatch):
+    # An empty transversal prints a bare label; other lines are as before.
+    monkeypatch.setattr("sys.stdin", io.StringIO("n 0\n"))
+    code, out = run(capsys, "compute", "--file", "-")
+    assert code == 0 and out.splitlines()[-1] == "  vertices:"
+    code, out = run(capsys, "compute", "--family", "path:4")
+    assert code == 0 and out.splitlines()[1::2] == ["  geodesic: 0 1 2 3", "  vertices: 0"]
+    for line in out.splitlines()[::2]:
+        assert line.startswith(("gpack = 1 (exact; nodes=", "gt = 1 (exact; nodes="))
+
+
 def test_compute_file_gpack(capsys):
     code, out = run(capsys, "compute", "--file", FIG1, "--invariant", "gpack", "--format", "json")
     assert code == 0
@@ -120,6 +137,30 @@ def test_enumerate_json_bytes(capsys):
     head = '{\n  "complete": true,\n  "count": 63,\n  "geodesics": [\n'
     assert code == 0 and out == head + entries + "\n  ]\n}\n"
     assert len(out.encode()) == 2918
+
+
+def enumerate_json(g, cap: int) -> str:
+    # The stdout of `enumerate --format json` on g read from stdin, run in-process.
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(graph_to_edge_list(g))
+    try:
+        with contextlib.redirect_stdout(out):
+            main(["enumerate", "--file", "-", "--format", "json", "--cap", str(cap)])
+    finally:
+        sys.stdin = saved
+    return out.getvalue()
+
+
+@settings(max_examples=200)
+@given(graphs_st(min_n=0, max_n=10), st.data())
+def test_enumerate_json_is_the_json_dump(g, data):
+    # enumerate writes the catalog document itself; it must stay the exact
+    # text json.dumps gives, for complete, capped and empty catalogs alike.
+    full = enumerate_maximal_geodesics(g).count
+    cap = data.draw(st.integers(1, full + 2))
+    for cap in (cap, full + 1):
+        catalog = enumerate_maximal_geodesics(g, cap=cap)
+        assert enumerate_json(g, cap) == json.dumps(_catalog_json(catalog), indent=2) + "\n"
 
 
 def test_enumerate_cap_exit_code(capsys):

@@ -101,6 +101,78 @@ def test_package_import_leaves_the_suites_unloaded():
     assert fresh_output(code) == ["False", "geopack.solvers"]
 
 
+def test_every_export_is_its_module_object():
+    # Each name resolves on first use, in a fresh process, to the object its
+    # module defines; __all__ is the 60 names of the table, sorted.
+    code = (
+        "import importlib, geopack\n"
+        "for module, names in geopack._EXPORTS.items():\n"
+        "    for name in names:\n"
+        "        assert getattr(geopack, name) is getattr(importlib.import_module('geopack.' + module), name)\n"
+        "print(len(geopack.__all__), geopack.__all__ == sorted(geopack._MODULE_OF))"
+    )
+    assert fresh_output(code) == ["60", "True"]
+
+
+def test_every_submodule_resolves_as_an_attribute():
+    import geopack
+
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem not in ("__init__", "__main__"))
+    assert sorted(geopack._EXPORTS) == modules
+    code = f"import geopack; print(*[getattr(geopack, m).__name__ for m in {modules!r}])"
+    assert fresh_output(code) == [f"geopack.{m}" for m in modules]
+
+
+def test_dir_lists_every_export():
+    import geopack
+
+    assert set(geopack.__all__) | set(geopack._EXPORTS) <= set(dir(geopack))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    import geopack
+
+    with pytest.raises(AttributeError, match="'geopack' has no attribute 'no_such_name'"):
+        geopack.no_such_name
+    assert not hasattr(geopack, "__main__")
+
+
+def test_star_import_binds_every_export():
+    import geopack
+
+    namespace: dict = {}
+    exec("from geopack import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == geopack.__all__ and len(geopack.__all__) == 60
+
+
+@pytest.mark.parametrize("module, loaded", [("geopack", ""), ("geopack.cli", "cli errors graphs")])
+def test_import_loads_only_the_modules_it_needs(module, loaded):
+    code = f"import sys, {module}; print(*sorted(m for m in sys.modules if m.startswith('geopack.')))"
+    assert fresh_output(code) == [f"geopack.{m}" for m in loaded.split()]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["compute", "--family", "rook:3", "--format", "json"], "cli errors geodesics graphs solvers"),
+        (["enumerate", "--family", "diagonal_grid:3,4", "--format", "json"], "cli errors geodesics graphs"),
+        (["tree", "--family", "path:5", "--format", "json"], "cli errors graphs trees"),
+        (["generate", "--family", "rook:3"], "cli errors graphs"),
+        (["ratio", "complete", "--max", "3"], "cli errors geodesics graphs solvers"),
+    ],
+)
+def test_a_cli_call_loads_only_the_modules_its_command_runs(argv, loaded):
+    # Every module a call loads is compiled on each start without a bytecode
+    # cache, so a command loads only what it runs; ratio loads the suites only
+    # for the rook curve.
+    code = (
+        "import contextlib, io, sys, geopack.cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): code = geopack.cli.main({argv!r})\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('geopack.')))"
+    )
+    assert fresh_output(code) == ["0", *(f"geopack.{m}" for m in loaded.split())]
+
+
 def test_cli_import_leaves_the_suites_unloaded():
     # compute, enumerate and tree never run a suite, so they do not load them.
     code = "import sys, geopack.cli; print('geopack.verify' in sys.modules)"

@@ -109,12 +109,13 @@ def _tree_json(value: int, pairs: LeafPairSet) -> dict:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    from .solvers import _solve
+    from .solvers import gpack_report, gt_report
 
     g = _load_graph(args)
     limits = _limits(args)
     wanted = ["gpack", "gt"] if args.invariant == "both" else [args.invariant]
-    docs = list(zip(wanted, _solve(g, limits, wanted)))
+    report = {"gpack": gpack_report, "gt": gt_report}
+    docs = [(inv, report[inv](g, limits)) for inv in wanted]  # gt reads the catalog gpack kept
     if args.format == "json":
         payload = [_result_json(inv, res) for inv, res in docs]
         _emit_json(payload[0] if len(payload) == 1 else payload)

@@ -1,18 +1,15 @@
 """Exact solvers for geodesic packing (gpack) and geodesic transversal (gt).
 
-Both invariants run on one mask state over the full maximal-geodesic
-catalog, which ``geodesics.complete_catalog`` refuses when capped.  The
-entries are numbered once per solve, shortest first, and the only masks are
+Each solve reads one invariant off one mask state over the full
+maximal-geodesic catalog, which ``geodesics.complete_catalog`` refuses when
+capped.  The entries are numbered shortest first, and the only masks are
 the stars, one per vertex: O(m*n) bits for m entries on n vertices, so no
-solver state grows with the square of the catalog.  A solve asking for both
-invariants enumerates and numbers once.  Every solve that numbers a catalog
-keeps it (``_kept``) for the next solve of the same graph and cap, and
-releases the old one before enumerating, so at most one catalog is alive.
-A value-only gpack solve lists, numbers and keeps nothing when the greedy
-packing meets n // (the order of the shortest entry), as on the diagonal
-grids: it finds that packing from the maximal pairs alone, so no cap
-applies, and its value and its 0 nodes are what numbering and searching
-would give.
+solver state grows with the square of the catalog.  Every solve that
+numbers a catalog keeps it (``_kept``) for the next solve of the same graph
+and cap, and releases the old one before listing, so at most one catalog is
+alive: that is the only way two solves share a catalog, and a check that
+wants both invariants solves gt first, as gt always numbers.  A value-only
+gpack solve may settle with no catalog (``_solve``).
 
 Both engines are branch and bound, as gpack is NP-complete: ``_pack`` packs
 pairwise disjoint sets (gpack, and the induced-P3 packing of the reduction)
@@ -60,8 +57,8 @@ class _LimitFields(NamedTuple):  # a NamedTuple body cannot override __new__
 
 
 class SolveLimits(_LimitFields):
-    """Resource ceilings for the exact solvers, each positive.  A settled
-    value-only gpack solve lists no catalog, so ``max_geodesics`` never stops it."""
+    """Resource ceilings for the exact solvers, each positive.  A solve that
+    lists no catalog (``_solve``'s settle rule) never meets ``max_geodesics``."""
 
     __slots__ = ()
 
@@ -115,9 +112,10 @@ class DualityReport(NamedTuple):
 class _Budget:
     """Node/time accounting for one solve, witness extraction included.
 
-    The time budget runs from ``started``, the start of the solve.  A stop
-    raises ``BudgetExceeded`` naming the solve (``what``), with the root
-    bounds its engine set in ``lower`` and ``upper`` before searching.
+    The time budget runs from ``started``, the start of the solve; ``tick``
+    reads the clock.  A stop raises ``BudgetExceeded`` naming the solve
+    (``what``), with the root bounds its engine set in ``lower`` and
+    ``upper`` before searching.
     """
 
     __slots__ = ("what", "node_budget", "deadline", "nodes", "lower", "upper")
@@ -130,6 +128,13 @@ class _Budget:
         self.lower: int | None = None
         self.upper: int | None = None
 
+    def _stop(self, reason: str) -> BudgetExceeded:
+        return BudgetExceeded(f"{self.what} stopped: {reason}", lower=self.lower, upper=self.upper, nodes=self.nodes)
+
+    def tick(self) -> None:
+        if time.monotonic() > self.deadline:
+            raise self._stop("time budget exhausted")
+
     def spend(self) -> None:
         # The clock is read at the first node, then every 256 nodes:
         # time.monotonic() costs about 0.1 us, and reading it at every node
@@ -137,12 +142,9 @@ class _Budget:
         # calls, Python 3.11, 2-vCPU machine).
         self.nodes += 1
         if self.nodes > self.node_budget:
-            reason = "search node budget exhausted"
-        elif self.nodes % 256 == 1 and time.monotonic() > self.deadline:
-            reason = "time budget exhausted"
-        else:
-            return
-        raise BudgetExceeded(f"{self.what} stopped: {reason}", lower=self.lower, upper=self.upper, nodes=self.nodes)
+            raise self._stop("search node budget exhausted")
+        if self.nodes % 256 == 1:
+            self.tick()
 
 
 class _Numbered(NamedTuple):
@@ -470,10 +472,11 @@ def _hs_search(
     return found
 
 
-def _greedy_cover(uncovered: int, stars: Sequence[int]) -> int:
+def _greedy_cover(uncovered: int, stars: Sequence[int], budget: _Budget) -> int:
     # Take the star (the sets through one vertex) holding the most uncovered
     # sets, lowest first on ties, until every set is hit: a cover, so an
-    # upper bound for gt.  Returns the mask of the star indices taken.
+    # upper bound for gt.  Returns the mask of the star indices taken, and
+    # reads the clock once per pick.
     # Counts only fall, so a star's last count bounds its count now, and a
     # pick recounts only the stars whose bound beats the best count so far.
     # On rook:30's root (861 picks) recounting every star took 35-37 s of
@@ -483,6 +486,7 @@ def _greedy_cover(uncovered: int, stars: Sequence[int]) -> int:
     bound = [uncovered.bit_count()] * len(stars)
     picked = 0
     while uncovered:
+        budget.tick()
         best_c = 0
         for i, b in enumerate(bound):
             if b > best_c:
@@ -501,7 +505,8 @@ def _cover(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[in
     n = len(covers)
     all_mask = (1 << len(sets)) - 1
     budget.lower = _greedy_disjoint(all_mask, sets, covers).bit_count()
-    best = _greedy_cover(all_mask, covers)
+    budget.upper = n  # every vertex is a cover
+    best = _greedy_cover(all_mask, covers, budget)
     budget.upper = best.bit_count()
     search = (sets, covers, budget)
     if budget.lower < budget.upper:
@@ -537,7 +542,7 @@ def _cover(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[in
 
 
 # ---------------------------------------------------------------------------
-# Solving a graph: one catalog, numbered once, for every requested invariant
+# Solving a graph: one invariant from the kept or a new numbered catalog
 # ---------------------------------------------------------------------------
 
 # The numbered catalog of the last solve that numbered one, as (key, numbered)
@@ -545,23 +550,21 @@ def _cover(numbered: _Numbered, budget: _Budget, want_witness: bool) -> tuple[in
 _kept: tuple[tuple, _Numbered] | None = None
 
 
-def _solve(
-    g: Graph, limits: SolveLimits, invariants: Sequence[str], want_witness: bool = True
-) -> list[SolveResult]:
-    """Each of ``invariants`` ("gpack", "gt"), in order, from one numbered catalog.
+def _solve(g: Graph, limits: SolveLimits, invariant: str, want_witness: bool = True) -> SolveResult:
+    """``invariant`` ("gpack" or "gt") of ``g``, from one numbered catalog.
 
-    The catalog comes from ``_kept`` when its key matches ``g`` and the cap,
-    and is enumerated, numbered and kept otherwise.  A capped catalog raises
-    before it can be kept.  The engines only read the numbered state, so a
-    kept catalog gives the same results as a fresh one.
+    The catalog comes from ``_kept`` when its key matches ``g`` and the cap.
+    Otherwise the pair pass (``geodesics._maximal_pairs``) runs once, the
+    walk lists the catalog from it, and the catalog is numbered and kept; a
+    capped catalog raises before it can be kept.  The engines only read the
+    numbered state, so a kept catalog gives the same results as a fresh one.
 
-    A value-only gpack solve that misses ``_kept`` runs the pair pass and
-    lists no path when the greedy packing meets ``gpack_upper_bound``, which
-    caps every packing (``geodesics._greedy_settles``): it returns the bound
-    with 0 nodes, as ``_pack`` would, whose greedy is this one and whose
-    fractional bound is at most the same.  Otherwise it lists the catalog
-    from that pair pass.  Witness, both-invariant and ``_kept`` solves never
-    take this path.
+    The settle rule: a value-only gpack solve that misses ``_kept`` lists
+    no path when the greedy packing meets n // (d + 1), d the smallest pair
+    distance, which caps every packing (``geodesics._greedy_settles``).  It
+    returns that bound with 0 nodes, as ``_pack`` would, whose greedy is this
+    one and whose fractional bound is at most the same; it numbers and keeps
+    nothing, and the cap does not stop it.
     """
     global _kept
     started = time.monotonic()
@@ -570,53 +573,42 @@ def _solve(
         numbered = _kept[1]
     else:
         _kept = None
-        cap = limits.max_geodesics
-        if not want_witness and tuple(invariants) == ("gpack",):
-            pairs = _maximal_pairs(g.adj)
+        pairs = _maximal_pairs(g.adj)
+        if invariant == "gpack" and not want_witness:
             value = _greedy_settles(g.adj, pairs)
             if value is not None:
-                return [SolveResult(value, None, SolveStats(0, int((time.monotonic() - started) * 1000)))]
-            catalog = complete_catalog(g, cap, _list_geodesics(g.adj, pairs, cap))
-        else:
-            catalog = complete_catalog(g, cap)
+                return SolveResult(value, None, SolveStats(0, int((time.monotonic() - started) * 1000)))
+        catalog = complete_catalog(g, catalog=_list_geodesics(g.adj, pairs, limits.max_geodesics))
+        del pairs  # two BFS rows per source: free them before numbering
         numbered = _number_sets(catalog.paths, g.n)
         _kept = (key, numbered)
-    results = []
-    for invariant in invariants:
-        budget = _Budget(f"{invariant} search", limits, started)
-        if invariant == "gpack":
-            value, chosen = _pack(numbered, budget, want_witness)
-            witness = None if chosen is None else Packing(tuple(Geodesic(p) for p in chosen))
-        else:
-            value, vertices = _cover(numbered, budget, want_witness)
-            witness = None if vertices is None else Transversal(tuple(vertices))
-        now = time.monotonic()
-        results.append(SolveResult(value, witness, SolveStats(budget.nodes, int((now - started) * 1000))))
-        started = now
-    return results
+    budget = _Budget(f"{invariant} search", limits, started)
+    if invariant == "gpack":
+        value, chosen = _pack(numbered, budget, want_witness)
+        witness = None if chosen is None else Packing(tuple(Geodesic(p) for p in chosen))
+    else:
+        value, vertices = _cover(numbered, budget, want_witness)
+        witness = None if vertices is None else Transversal(tuple(vertices))
+    return SolveResult(value, witness, SolveStats(budget.nodes, int((time.monotonic() - started) * 1000)))
 
 
 def gpack_value(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
-    """Exact gpack value without witness extraction (faster for sweeps).
-
-    Settled from the maximal pairs, with no catalog listed, when the greedy
-    packing meets ``gpack_upper_bound``; the value is the same either way,
-    and ``limits.max_geodesics`` does not stop such a solve.
-    """
-    return _solve(g, limits, ("gpack",), want_witness=False)[0].value
+    """Exact gpack value without witness extraction (faster for sweeps);
+    ``_solve`` gives the settle rule, under which the cap does not apply."""
+    return _solve(g, limits, "gpack", want_witness=False).value
 
 
 def gpack_report(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> SolveResult:
-    return _solve(g, limits, ("gpack",))[0]
+    return _solve(g, limits, "gpack")
 
 
 def gt_value(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> int:
     """Exact gt value without witness extraction (faster for sweeps)."""
-    return _solve(g, limits, ("gt",), want_witness=False)[0].value
+    return _solve(g, limits, "gt", want_witness=False).value
 
 
 def gt_report(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> SolveResult:
-    return _solve(g, limits, ("gt",))[0]
+    return _solve(g, limits, "gt")
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +624,8 @@ def duality_check(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> DualityRepo
     """Both invariants plus the exact rational gt/gpack."""
     from fractions import Fraction  # loaded only by the callers that want a ratio
 
-    gpack, gt = (r.value for r in _solve(g, limits, ("gpack", "gt"), want_witness=False))
+    gt = gt_value(g, limits)  # first: gt keeps the catalog gpack then reads
+    gpack = gpack_value(g, limits)
     if gpack > gt:
         raise ContractViolation(f"solver bug: gpack {gpack} exceeds gt {gt}")
     if gpack == 0:
@@ -642,12 +635,13 @@ def duality_check(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> DualityRepo
 
 def verify_tree_equality(t: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
     """Tree algorithm vs. exact transversal, cross-checked against exact packing
-    solved from the same catalog."""
+    solved from the catalog the transversal kept."""
     from .trees import gpack_tree, is_tree  # the tree oracle loads only for this check
 
     if not is_tree(t):
         raise DomainError("equality check needs a tree")
-    gt, gpack = (r.value for r in _solve(t, limits, ("gt", "gpack"), want_witness=False))
+    gt = gt_value(t, limits)  # first, as in duality_check
+    gpack = gpack_value(t, limits)
     return gpack_tree(t)[0] == gt == gpack
 
 
@@ -674,12 +668,14 @@ def verify_np_reduction(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
     """Check gpack(derived(g)) == 1 + induced-P3-packing(g).
 
     Also asserts that every maximal geodesic of the derived graph has
-    length 2; graphs containing an edge whose endpoints dominate each
-    other's neighbourhoods violate that property (the edge survives as a
-    length-1 maximal geodesic) and raise ContractViolation.
+    length 2, on the pair pass alone: a maximal geodesic is as long as the
+    distance of its maximal pair.  Graphs containing an edge whose endpoints
+    dominate each other's neighbourhoods violate that property (the edge
+    survives as a length-1 maximal geodesic) and raise ContractViolation.
     """
     derived = derived_graph(g)
-    for p in complete_catalog(derived, limits.max_geodesics).paths:
-        if len(p) != 3:
-            raise ContractViolation(f"derived graph has a maximal geodesic of length {len(p) - 1}: {p}")
+    for u, partners, dist, _ in _maximal_pairs(derived.adj):
+        for v in partners:
+            if dist[v] != 2:
+                raise ContractViolation(f"derived graph has the maximal pair ({u}, {v}) at distance {dist[v]}")
     return gpack_value(derived, limits) == 1 + induced_p3_packing_exact(g, limits)

@@ -23,6 +23,27 @@ def no_kept_catalog():
     gp.solvers._kept = None
 
 
+def counted(monkeypatch, name: str, *modules) -> list:
+    """Patch ``name`` in each of ``modules`` with one counting wrapper of the
+    first module's function; returns the argument tuples of its calls."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def walks(monkeypatch) -> list:
+    """The calls of the walk, ``geodesics._list_geodesics``: from the solvers'
+    own binding and from ``enumerate_maximal_geodesics``."""
+    return counted(monkeypatch, "_list_geodesics", gp.geodesics, gp.solvers)
+
+
 def nx_to_graph(G: nx.Graph) -> gp.Graph:
     nodes = sorted(G.nodes())
     idx = {v: i for i, v in enumerate(nodes)}

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import graphs_st
+from conftest import graphs_st, walks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,18 +33,11 @@ def test_compute_both_text(capsys):
 
 
 def test_compute_both_enumerates_once(capsys, monkeypatch):
-    import geopack.geodesics
+    import geopack.solvers
 
     argv = ("compute", "--family", "rook:3", "--format", "json")
     single = [json.loads(run(capsys, *argv, "--invariant", inv)[1]) for inv in ("gpack", "gt")]
-    calls = []
-    enumerate_once = geopack.geodesics.enumerate_maximal_geodesics
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return enumerate_once(*args, **kwargs)
-
-    monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", counting)
+    calls = walks(monkeypatch)
     monkeypatch.setattr(geopack.solvers, "_kept", None)  # the single runs kept rook:3
     code, out = run(capsys, *argv, "--invariant", "both")
     assert code == 0 and len(calls) == 1
@@ -416,11 +409,12 @@ def test_budget_exit_three(capsys):
 
 
 def test_time_budget_exit_three(capsys):
-    # The clock is read every 256 nodes, so the stop comes at node 256.
+    # The root greedy cover reads the clock at its first pick, so the stop
+    # reports the bounds set before it: the greedy packing and n.
     assert main(["compute", "--family", "rook:5", "--invariant", "gt", "--time-budget", "1e-9"]) == 3
     assert capsys.readouterr().err == (
         "budget exceeded: gt search stopped: time budget exhausted"
-        " (bounds: lower=7, upper=19)\n"
+        " (bounds: lower=7, upper=25)\n"
     )
 
 
@@ -458,6 +452,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "geopack", "compute", "--family", "complete:5", "--invariant", "gpack"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0 and "gpack = 2" in proc.stdout
 

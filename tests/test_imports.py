@@ -55,18 +55,30 @@ def test_only_one_function_refuses_a_capped_catalog():
     assert raisers == [("geodesics.py", "complete_catalog")]
 
 
-def test_only_two_functions_number_sets_or_budget_a_search():
-    # _solve turns every catalog into engine input; the induced-P3 packing is
-    # the one solve whose sets are not a catalog.
+def callers_of(*names: str) -> set[tuple[str, str | None]]:
+    # (file, innermost enclosing function) of every call to one of ``names``.
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         module = ast.parse(path.read_text(encoding="utf-8"))
         functions = [node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)]
         for node in ast.walk(module):
-            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("_number_sets", "_Budget"):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in names:
                 owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 callers.add((path.name, owners[-1] if owners else None))
-    assert callers == {("solvers.py", "_solve"), ("solvers.py", "induced_p3_packing_exact")}
+    return callers
+
+
+def test_only_two_functions_number_sets_or_budget_a_search():
+    # _solve turns every catalog into engine input; the induced-P3 packing is
+    # the one solve whose sets are not a catalog.
+    assert callers_of("_number_sets", "_Budget") == {("solvers.py", "_solve"), ("solvers.py", "induced_p3_packing_exact")}
+
+
+def test_only_the_four_public_solves_call_solve():
+    # One invariant per solve: a caller wanting both calls two public solves,
+    # and they share a catalog only through solvers._kept.
+    public = ("gpack_value", "gpack_report", "gt_value", "gt_report")
+    assert callers_of("_solve") == {("solvers.py", name) for name in public}
 
 
 def test_no_library_path_builds_all_pairs_distances():

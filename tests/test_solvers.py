@@ -16,7 +16,7 @@ from geopack.cli import main
 from geopack.errors import BudgetExceeded, ContractViolation, DomainError, EnumerationOverflow
 from geopack.verify import random_graph
 
-from conftest import graphs_st, trees_st
+from conftest import counted, graphs_st, trees_st, walks
 from oracles import (
     greedy_reaches_reference,
     nx_maximal_geodesics,
@@ -56,7 +56,7 @@ def test_gpack_thirteen_vertex_example_drops_after_smoothing():
 def test_gpack_on_a_large_root_certified_grid(monkeypatch):
     # 81k maximal geodesics; the greedy packing meets n // 9, so the value
     # solve numbers nothing.
-    numberings = _counted(monkeypatch, gp.solvers, "_number_sets")
+    numberings = counted(monkeypatch, "_number_sets", gp.solvers)
     family = gp.parse_family("diagonal_grid:9,9")
     assert gp.gpack_value(gp.generate(family)) == gp.formula_value(family, "gpack") == 9
     assert numberings == []
@@ -279,7 +279,8 @@ def test_greedy_cover_matches_the_rescan_reference(instance):
     from oracles import greedy_cover_reference
 
     live, _, sets, covers = instance
-    assert gp.solvers._greedy_cover(live, covers) == greedy_cover_reference(live, covers)
+    budget = gp.solvers._Budget("gt search", gp.SolveLimits(), time.monotonic())
+    assert gp.solvers._greedy_cover(live, covers, budget) == greedy_cover_reference(live, covers)
 
 
 # (kind, seed, gpack value, gpack report nodes, gt value, gt report nodes)
@@ -324,7 +325,7 @@ def test_gpack_on_a_300_vertex_tree():
     report = gp.gpack_report(t, gp.SolveLimits(node_budget=1_000))
     value, packing = report.value, report.witness
     assert value == gp.gpack_tree(t)[0] == 46
-    assert gp.solvers._solve(t, gp.SolveLimits(node_budget=1), ("gpack",), want_witness=False)[0].stats.nodes == 1
+    assert gp.solvers._solve(t, gp.SolveLimits(node_budget=1), "gpack", want_witness=False).stats.nodes == 1
     used = [v for p in packing.geodesics for v in p.vertices]
     assert len(used) == len(set(used))
 
@@ -454,8 +455,11 @@ def test_reduction_identity_fails_on_k2():
     assert gp.gpack_value(derived) == 2
     assert (0, 1) in oracle_maximal_geodesics(derived)
     assert 1 + gp.induced_p3_packing_exact(k2) == 1
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match=r"maximal pair \(0, 1\) at distance 1$"):
         gp.verify_np_reduction(k2)
+    # The length check reads the pair pass, so the cap does not stop it.
+    with pytest.raises(ContractViolation):
+        gp.verify_np_reduction(k2, gp.SolveLimits(max_geodesics=1))
 
 
 def test_reduction_length_assertion_fires_on_dominated_edges():
@@ -465,8 +469,17 @@ def test_reduction_length_assertion_fires_on_dominated_edges():
     diamond = gp.Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     derived = gp.derived_graph(diamond)
     assert gp.gpack_value(derived) == 1 + gp.induced_p3_packing_exact(diamond)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match=r"maximal pair \(1, 2\) at distance 1$"):
         gp.verify_np_reduction(diamond)
+
+
+def test_reduction_check_lists_the_derived_graph_at_most_once(monkeypatch):
+    # The length check reads the pair pass; gpack_value's solve is the only walk.
+    from geopack.verify import random_connected_bipartite_max3
+
+    listed = walks(monkeypatch)
+    assert gp.verify_np_reduction(random_connected_bipartite_max3(10, random.Random(7)))
+    assert len(listed) <= 1
 
 
 @given(graphs_st(min_n=1, max_n=6))
@@ -589,12 +602,13 @@ def test_root_certified_gpack_witness_needs_no_search():
 
 
 def test_time_budget_exceeded():
-    # The budget counts from the start of the solve and the clock is first
-    # read at node 1; a stop names the solve and its root bounds.
+    # The budget counts from the start of the solve, and gt's root greedy
+    # cover reads the clock at its first pick, before any node, with the
+    # certified bounds set so far: the greedy packing and n.
     with pytest.raises(BudgetExceeded) as info:
         gp.gt_value(gp.rook_graph(5), gp.SolveLimits(time_budget=1e-9))
     assert str(info.value) == "gt search stopped: time budget exhausted"
-    assert (info.value.lower, info.value.upper, info.value.nodes) == (7, 19, 1)
+    assert (info.value.lower, info.value.upper, info.value.nodes) == (7, 25, 0)
 
 
 def test_the_time_budget_counts_from_the_start_of_the_solve():
@@ -623,7 +637,7 @@ def test_p3_packing_budget_exceeded():
 def test_witness_extraction_budget_exceeded(invariant, value, report):
     # A budget the value search fits in, but not the witness extraction.
     g = gp.rook_graph(3)
-    budget = gp.solvers._solve(g, gp.DEFAULT_LIMITS, (invariant,), want_witness=False)[0].stats.nodes
+    budget = gp.solvers._solve(g, gp.DEFAULT_LIMITS, invariant, want_witness=False).stats.nodes
     assert budget >= 1
     limits = gp.SolveLimits(node_budget=budget)
     assert value(g, limits) == value(g)
@@ -649,23 +663,9 @@ def test_limits_validation():
 # The kept catalog
 # ---------------------------------------------------------------------------
 
-def _counted(monkeypatch, module, name: str) -> list:
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 def test_reports_of_one_graph_share_one_catalog(monkeypatch):
-    import geopack.geodesics
-
-    enumerations = _counted(monkeypatch, geopack.geodesics, "enumerate_maximal_geodesics")
-    numberings = _counted(monkeypatch, gp.solvers, "_number_sets")
+    enumerations = walks(monkeypatch)
+    numberings = counted(monkeypatch, "_number_sets", gp.solvers)
     g = gp.rook_graph(3)
     gp.gpack_report(g)
     gp.gt_report(g)
@@ -680,20 +680,30 @@ def test_reports_of_one_graph_share_one_catalog(monkeypatch):
     assert len(enumerations) == len(numberings) == 4
 
 
+@pytest.mark.parametrize("g", [gp.complete_graph(6), gp.rook_graph(3)], ids=["complete:6", "rook:3"])
+def test_a_duality_check_runs_one_pair_pass_and_at_most_one_walk(monkeypatch, g):
+    # gt goes first and keeps its catalog, so gpack reads it: on complete:6,
+    # whose gpack value settles, gpack first would keep nothing for gt.
+    pair_passes = counted(monkeypatch, "_maximal_pairs", gp.geodesics, gp.solvers)
+    listed = walks(monkeypatch)
+    assert gp.duality_check(g)[:2] == (3, 5)
+    assert len(pair_passes) == 1 and len(listed) <= 1
+
+
 @pytest.mark.parametrize("spec", ["diagonal_grid:4,4", "diagonal_grid:7,7"])
 def test_a_gpack_value_the_greedy_settles_numbers_nothing(monkeypatch, spec):
     # The greedy packing meets n // (the order of the shortest entry).
-    numberings = _counted(monkeypatch, gp.solvers, "_number_sets")
+    numberings = counted(monkeypatch, "_number_sets", gp.solvers)
     family = gp.parse_family(spec)
     g = gp.generate(family)
-    result = gp.solvers._solve(g, gp.DEFAULT_LIMITS, ("gpack",), want_witness=False)[0]
+    result = gp.solvers._solve(g, gp.DEFAULT_LIMITS, "gpack", want_witness=False)
     assert gp.gpack_value(g) == result.value == gp.formula_value(family, "gpack")
     assert result.stats.nodes == 0 and result.witness is None and numberings == []
 
 
 @pytest.mark.parametrize("spec", ["cartesian(cycle:4,cycle:4)", "rook:5"])
 def test_a_gpack_value_the_greedy_falls_short_of_numbers_once(monkeypatch, spec):
-    numberings = _counted(monkeypatch, gp.solvers, "_number_sets")
+    numberings = counted(monkeypatch, "_number_sets", gp.solvers)
     g = gp.generate(gp.parse_family(spec))
     value = gp.gpack_value(g)
     assert len(numberings) == 1
@@ -761,16 +771,15 @@ def test_gpack_value_on_graphs_without_edges():
 
 
 def test_every_solve_that_numbers_keeps_its_catalog(monkeypatch):
-    import geopack.geodesics
-
     kept_while_enumerating = []
-    enumerate_ = geopack.geodesics.enumerate_maximal_geodesics
+    enumerate_ = gp.geodesics._list_geodesics
 
     def watching(*args, **kwargs):
         kept_while_enumerating.append(gp.solvers._kept)
         return enumerate_(*args, **kwargs)
 
-    monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", watching)
+    monkeypatch.setattr(gp.geodesics, "_list_geodesics", watching)
+    monkeypatch.setattr(gp.solvers, "_list_geodesics", watching)
     assert gp.gt_value(gp.rook_graph(3)) == 5
     assert gp.solvers._kept is not None and gp.solvers._kept[0][0] == 9
     assert gp.gpack_value(gp.rook_graph(3)) == 3  # reads the kept catalog
@@ -798,7 +807,7 @@ def test_a_kept_catalog_solves_like_a_fresh_one():
     graphs += [gp.diagonal_grid((3, 4)), gp.diagonal_grid((2, 2, 3))]
 
     def gpack_value_solve(g):
-        return gp.solvers._solve(g, gp.DEFAULT_LIMITS, ("gpack",), want_witness=False)[0]
+        return gp.solvers._solve(g, gp.DEFAULT_LIMITS, "gpack", want_witness=False)
 
     solves = (gp.gpack_report, gp.gt_report, gp.gpack_report, gp.gpack_value, gpack_value_solve, gp.gt_value)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import geopack as gp
 from geopack.errors import ContractViolation, DomainError
 
-from conftest import trees_st
+from conftest import trees_st, walks
 from oracles import find_end_support_vertex, oracle_gpack
 
 
@@ -185,16 +185,7 @@ def test_equality_check_on_random_trees():
 
 
 def test_equality_check_enumerates_once(monkeypatch):
-    import geopack.geodesics
-
-    calls = []
-    enumerate_once = geopack.geodesics.enumerate_maximal_geodesics
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return enumerate_once(*args, **kwargs)
-
-    monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", counting)
+    calls = walks(monkeypatch)
     assert gp.verify_tree_equality(gp.random_tree(30, random.Random(7)))
     assert len(calls) == 1
 

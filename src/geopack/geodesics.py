@@ -1,7 +1,10 @@
 """Distances, geodesic predicates, and exhaustive maximal-geodesic enumeration.
 
-The maximal pairs (``_maximal_pairs``) come first; the enumeration, the
-greedy packing that settles a gpack value and the transversal check read them.
+The pair pass (``_maximal_pairs``) owns the distance facts: it finds the
+maximal pairs with each source's distance row, by one of two strategies it
+picks from its first BFS (one BFS per source, or every ball grown at once as
+a bitmask).  The enumeration, the greedy packing that settles a gpack value
+and the transversal check read its pairs; the predicates run single BFS.
 """
 
 from __future__ import annotations
@@ -173,49 +176,157 @@ def is_maximal_geodesic(g: Graph, p: Geodesic | Sequence[int]) -> bool:
     return bool(sinks >> v & 1) and bool(_bfs(g.adj, v)[2] >> u & 1)
 
 
-def _maximal_pairs(adj: Sequence[Sequence[int]]) -> list[tuple[int, list[int], list[int], list[int]]]:
-    """The pair pass: ``(u, partners, dist, order)`` for every source u with
-    a maximal partner v >= u, ascending, with the partners ascending and u's
-    BFS row and order.
+# The ball pass replaces one BFS per source when the first source's BFS
+# reaches every vertex and there are at least this many sources per layer of
+# it (k >= _BALL_RATIO * depth).  Both cost O(|E|) steps a round: a round is
+# one source's BFS, or one layer of every ball, in n-bit integer operations.
+# Ball time over per-source time, measured on one core (CPython 3.11): 1.8-4.3
+# on 42-vertex random trees (k/depth <= 2.4) and on cycle:30 (2); 0.6-1.3 on
+# connected random graphs of 18-100 vertices at 3.4-7.5, where on the sparse
+# ones reading each partnered source's row from its layers costs about what
+# its BFS did; 0.5-0.6 on the diagonal grids of 25-64 vertices (6.3-9.1), and
+# 0.16-0.4 on denser grids and rook graphs (12-450).
+_BALL_RATIO = 6
 
-    One BFS per source gives its sinks: the reached vertices with no
-    neighbour one layer further from u.  A geodesic from u to v extends past
-    v exactly when v is not a sink of u, so (u, v) is a maximal pair when v
-    is a sink of u and u a sink of v; an isolated vertex is its own partner.
-    Every geodesic between a maximal pair is maximal.  Only the k vertices
-    that are not cut vertices (in a tree, the leaves) are sources: O(k*|E|)
-    after one lowpoint DFS.
+_Pairs = list[tuple[int, list[int], list[int], list[int]]]
+
+
+def _maximal_pairs(adj: Sequence[Sequence[int]]) -> _Pairs:
+    """The pair pass: ``(u, partners, dist, order)`` for every source u with
+    a maximal partner v >= u, ascending, with the partners ascending, u's
+    distance row (``len(adj)`` at unreached vertices) and u's reached
+    vertices in layer order.  The only source of distance facts besides
+    single BFS queries.
+
+    A vertex v is a sink of u when no neighbour of v is one layer further
+    from u.  A geodesic from u to v extends past v exactly when v is not a
+    sink of u, so (u, v) is a maximal pair when v is a sink of u and u a
+    sink of v; an isolated vertex is its own partner.  Every geodesic
+    between a maximal pair is maximal.  Only the k vertices that are not
+    cut vertices (in a tree, the leaves) are sources.  A cut vertex c is
+    never a sink: some part of the graph cut off by c misses the source, and
+    c's neighbour there is one layer further out, since every path to it
+    passes c.  So c ends no maximal geodesic.
+
+    Two strategies give the same pairs and rows (the orders up to order
+    within a layer), after one lowpoint DFS and one BFS from the highest
+    source: one BFS per source, O(k*|E|) (``_bfs_pairs``), or every ball
+    grown at once as a bitmask, O(D*|E|) operations on n-bit integers for
+    the diameter D (``_ball_pairs``).  That first BFS picks the balls when
+    it reaches every vertex and k is at least ``_BALL_RATIO`` times its
+    depth, and is otherwise the first of the per-source BFS.
     """
     n = len(adj)
-    # Sources in descending order, so the sinks of every v > u are known when
-    # u's partners are read off; only sources with partners keep their BFS.
-    # A cut vertex c is never a sink: some part of the graph cut off by c
-    # misses the source, and c's neighbour there is one layer further out,
-    # since every path to it passes c.  So c ends no maximal geodesic and
-    # runs no BFS.
     cut = _cut_vertices(adj)
-    sinks = [0] * n
-    sources = []
-    for u in reversed(range(n)):
-        if cut >> u & 1:
-            continue
-        dist, order, sinks[u] = _bfs(adj, u)
-        partners = []
-        rest = sinks[u] >> u
-        while rest:
-            low = rest & -rest
-            v = u + low.bit_length() - 1
-            if sinks[v] >> u & 1:
-                partners.append(v)
-            rest ^= low
+    sources = [u for u in reversed(range(n)) if not cut >> u & 1]
+    if not sources:
+        return []
+    first = _bfs(adj, sources[0])
+    dist, order, _ = first
+    if len(order) == n and len(sources) >= _BALL_RATIO * dist[order[-1]]:
+        return _ball_pairs(adj, sources)
+    return _bfs_pairs(adj, sources, first)
+
+
+def _partners(u: int, sinks: Sequence[int]) -> list[int]:
+    # The v >= u with v a sink of u and u a sink of v, ascending; the sinks
+    # of each such v are known.
+    partners = []
+    rest = sinks[u] >> u
+    while rest:
+        low = rest & -rest
+        v = u + low.bit_length() - 1
+        if sinks[v] >> u & 1:
+            partners.append(v)
+        rest ^= low
+    return partners
+
+
+def _bfs_pairs(
+    adj: Sequence[Sequence[int]], sources: list[int], first: tuple[list[int], list[int], int]
+) -> _Pairs:
+    """The pair pass by one BFS per source: ``sources`` descending, and
+    ``first`` the BFS of ``sources[0]``.  Descending, the sinks of every
+    v > u are known when u's partners are read off; only sources with
+    partners keep their BFS."""
+    sinks = [0] * len(adj)
+    pairs = []
+    for u in sources:
+        dist, order, sinks[u] = first if u == sources[0] else _bfs(adj, u)
+        partners = _partners(u, sinks)
         if partners:
-            sources.append((u, partners, dist, order))
-    sources.reverse()
-    return sources
+            pairs.append((u, partners, dist, order))
+    pairs.reverse()
+    return pairs
+
+
+def _ball_pairs(adj: Sequence[Sequence[int]], sources: list[int]) -> _Pairs:
+    """The pair pass by balls (Then et al., *The More the Merrier*, PVLDB
+    2014): ``ball[v]``, the mask of the vertices within k of v, grows one
+    layer a round as the OR of v's and its neighbours' balls.
+
+    At round k, u is in v's layer (``ball_k[v] & ~ball_{k-1}[v]``) and v is
+    a sink of u exactly when every neighbour w of v lies within k of u, that
+    is u in ``ball_k[w]``.  So the AND of the neighbours' balls, over the
+    layer, gives the u that v is a sink of; by symmetry that is the mask of
+    u's sinks read from the other side.  A ball that stops growing, or
+    holds every vertex, holds its component, and so do its neighbours' from
+    then on, so it leaves the rounds.  The distance rows are read from the
+    stored layers, only for the ``sources`` (descending) with a partner.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
+    ball = [1 << v for v in range(n)]
+    layers = [[b] for b in ball]
+    # sunk[v]: the u that v is a sink of, the sinks read from the other side.
+    # An isolated vertex is its own sink; a cut vertex is no one's and keeps 0.
+    sunk = [0 if adj[v] else 1 << v for v in range(n)]
+    live = [v for v in range(n) if adj[v]]
+    while live:
+        grown = ball[:]
+        for v in live:
+            b = ball[v]
+            for w in adj[v]:
+                b |= ball[w]
+            grown[v] = b
+        still = []
+        for v in live:
+            b = grown[v]
+            layer = b & ~ball[v]
+            if not layer:
+                continue
+            layers[v].append(layer)
+            if b != full:
+                still.append(v)
+            for w in adj[v]:
+                layer &= grown[w]
+                if not layer:
+                    break
+            sunk[v] |= layer
+        ball = grown
+        live = still
+    # The rows hold these shared vertex ids, not a new int per entry: on
+    # rook:30 that is 22 MB less, as much as the rows themselves.
+    ids = list(range(n))
+    pairs = []
+    for u in reversed(sources):
+        partners = _partners(u, sunk)
+        if partners:
+            dist = [n] * n
+            order = []
+            for d, layer in enumerate(layers[u]):
+                while layer:
+                    low = layer & -layer
+                    x = ids[low.bit_length() - 1]
+                    dist[x] = d
+                    order.append(x)
+                    layer ^= low
+            pairs.append((u, partners, dist, order))
+    return pairs
 
 
 def _list_geodesics(
-    adj: Sequence[Sequence[int]], sources: list[tuple[int, list[int], list[int], list[int]]], cap: int
+    adj: Sequence[Sequence[int]], sources: _Pairs, cap: int
 ) -> GeodesicCatalog:
     """The walk: the maximal geodesics between the pairs of ``_maximal_pairs``,
     sorted, up to ``cap`` entries.
@@ -271,8 +382,8 @@ def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCat
     """Enumerate every maximal geodesic of ``g``, up to ``cap`` entries.
 
     The pair pass (``_maximal_pairs``) finds the maximal pairs, and the walk
-    (``_list_geodesics``) lists the geodesics between them, sorted, in
-    O(k*|E|) for k sources plus the size of the output.  If there are more
+    (``_list_geodesics``) lists the geodesics between them, sorted, in the
+    pair pass's cost plus the size of the output.  If there are more
     than ``cap`` entries the catalog holds the lexicographically first
     ``cap`` of them with ``complete=False``; ``complete_catalog`` refuses
     such a catalog.

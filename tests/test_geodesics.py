@@ -314,6 +314,74 @@ def test_enumeration_runs_no_bfs_from_a_cut_vertex(monkeypatch):
     assert sorted(sources) == [0, 1, 3, 4]
 
 
+def _both_pair_passes(g: gp.Graph) -> tuple[list, list]:
+    # The pair pass by one BFS per source, the reference, and by balls, on the
+    # same sources, whichever one _maximal_pairs would pick.
+    cut = gp.geodesics._cut_vertices(g.adj)
+    sources = [u for u in reversed(range(g.n)) if not cut >> u & 1]
+    if not sources:
+        return [], []
+    first = gp.geodesics._bfs(g.adj, sources[0])
+    return gp.geodesics._bfs_pairs(g.adj, sources, first), gp.geodesics._ball_pairs(g.adj, sources)
+
+
+def _assert_same_pairs(g: gp.Graph) -> None:
+    reference, balls = _both_pair_passes(g)
+    assert [(u, partners, dist) for u, partners, dist, _ in balls] == [(u, p, d) for u, p, d, _ in reference]
+    # The orders agree up to order within a layer; the balls list each layer ascending.
+    for (_, _, dist, order), (_, _, _, ball_order) in zip(reference, balls):
+        assert ball_order == sorted(order, key=lambda x: (dist[x], x))
+
+
+@given(graphs_st(min_n=0, max_n=9))
+@example(gp.Graph.from_edges(0, []))
+@example(gp.Graph.from_edges(5, [(1, 2), (2, 3), (1, 3)]))
+@settings(max_examples=150)
+def test_ball_pass_matches_one_bfs_per_source(g):
+    _assert_same_pairs(g)
+
+
+@pytest.mark.parametrize("spec", ["rook:5", "diagonal_grid:3,3,3", "path:200", "cycle:201"])
+def test_ball_pass_matches_one_bfs_per_source_on_families(spec):
+    _assert_same_pairs(gp.generate(gp.parse_family(spec)))
+
+
+def _non_cut(g: gp.Graph) -> list[int]:
+    cut = gp.geodesics._cut_vertices(g.adj)
+    return [v for v in range(g.n) if not cut >> v & 1]
+
+
+def _with_isolated_zero(g: gp.Graph) -> gp.Graph:
+    return gp.Graph.from_edges(g.n + 1, [(u + 1, v + 1) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gp.random_tree(42, random.Random(s)) for s in (1, 2, 3)]
+    + [gp.path_graph(30), gp.cycle_graph(30), _with_isolated_zero(gp.rook_graph(5))],
+    ids=["tree-1", "tree-2", "tree-3", "path", "cycle", "rook-plus-isolated"],
+)
+def test_few_sources_per_layer_run_one_bfs_per_source(monkeypatch, g):
+    # Fewer than _BALL_RATIO sources per layer of the first BFS, or a first
+    # BFS that misses a vertex, keeps the per-source BFS.
+    sources = _count_bfs_sources(monkeypatch)
+    gp.geodesics._maximal_pairs(g.adj)
+    assert sorted(sources) == _non_cut(g)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["diagonal_grid:7,7", "diagonal_grid:6,8", "diagonal_grid:4,4,4", "diagonal_grid:7,8",
+     "diagonal_grid:3,3,3,3", "diagonal_grid:8,8", "rook:5"],
+)
+def test_many_sources_per_layer_run_one_bfs(monkeypatch, spec):
+    # The first BFS picks the ball pass, which runs no further BFS.
+    sources = _count_bfs_sources(monkeypatch)
+    g = gp.generate(gp.parse_family(spec))
+    gp.geodesics._maximal_pairs(g.adj)
+    assert sources == [g.n - 1]
+
+
 @given(graphs_st(max_n=9))
 @settings(max_examples=150)
 def test_cut_vertices_match_networkx(g):

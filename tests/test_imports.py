@@ -82,8 +82,9 @@ def test_only_the_four_public_solves_call_solve():
 
 
 def test_no_library_path_builds_all_pairs_distances():
-    # Distance facts come from one BFS per query (geodesics._bfs); the n-BFS
-    # table is for callers outside the library.
+    # Distance facts come from the pair pass (geodesics._maximal_pairs, by one
+    # BFS per source or by bitmask balls) or one BFS per query
+    # (geodesics._bfs); the n-BFS table is for callers outside the library.
     calls = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

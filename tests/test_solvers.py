@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -52,7 +53,6 @@ def test_gpack_thirteen_vertex_example_drops_after_smoothing():
     assert gp.gpack_value(gp.smooth(g).graph) == 3
 
 
-@pytest.mark.slow
 def test_gpack_on_a_large_root_certified_grid(monkeypatch):
     # 81k maximal geodesics; the greedy packing meets n // 9, so the value
     # solve numbers nothing.
@@ -273,6 +273,27 @@ def test_reduce_matches_the_all_vertex_reference(instance):
 
 @given(reduce_instances())
 @settings(max_examples=200)
+def test_greedy_bound_sees_the_forbidden_vertices(instance):
+    # The greedy takes live sets pairwise disjoint outside ``forbidden``, and
+    # each other live set meets a taken one there.  Each taken set needs its
+    # own allowed vertex, so no hitting set avoiding ``forbidden`` is smaller.
+    live, forbidden, sets, covers = instance
+    taken = gp.solvers._greedy_disjoint(live, forbidden, sets, covers)
+    allowed = [{v for v in s if not forbidden >> v & 1} for s in sets]
+    rows = [j for j in range(len(sets)) if live >> j & 1]
+    picks = [j for j in rows if taken >> j & 1]
+    assert taken & ~live == 0
+    assert all(not allowed[i] & allowed[j] for i in picks for j in picks if i < j)
+    assert all(any(allowed[i] & allowed[j] for i in picks) for j in rows if j not in picks)
+    free = [v for v in range(len(covers)) if not forbidden >> v & 1]
+    for k in range(len(free) + 1):
+        if any(all(allowed[j].intersection(c) for j in rows) for c in itertools.combinations(free, k)):
+            assert len(picks) <= k
+            break
+
+
+@given(reduce_instances())
+@settings(max_examples=200)
 def test_greedy_cover_matches_the_rescan_reference(instance):
     # Recounting only the stars whose last count beats the best so far takes
     # the same stars, ties to the lowest index, as recounting every star.
@@ -286,15 +307,15 @@ def test_greedy_cover_matches_the_rescan_reference(instance):
 # (kind, seed, gpack value, gpack report nodes, gt value, gt report nodes)
 PINNED_NODES = [
     ("tree", 0, 7, 19, 7, 21),
-    ("graph", 0, 5, 91, 7, 247),
+    ("graph", 0, 5, 91, 7, 214),
     ("tree", 1, 8, 6, 8, 12),
-    ("graph", 1, 5, 18, 6, 42),
+    ("graph", 1, 5, 18, 6, 33),
     ("tree", 2, 7, 9, 7, 22),
-    ("graph", 2, 4, 133, 7, 165),
+    ("graph", 2, 4, 133, 7, 141),
     ("tree", 3, 8, 27, 8, 25),
-    ("graph", 3, 4, 39, 6, 186),
+    ("graph", 3, 4, 39, 6, 149),
     ("tree", 4, 7, 13, 7, 15),
-    ("graph", 4, 5, 5, 8, 271),
+    ("graph", 4, 5, 5, 8, 217),
 ]
 
 
@@ -757,8 +778,7 @@ def test_a_settled_gpack_value_needs_no_catalog_past_the_cap():
         gp.gpack_value(gp.rook_graph(5), gp.SolveLimits(max_geodesics=10))
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("dims", [(10, 10), (30, 30), (5, 9, 13)])
+@pytest.mark.parametrize("dims", [(10, 10), (30, 30), (5, 9, 13), (10, 10, 10)])
 def test_settled_gpack_values_past_the_default_cap(dims):
     family = gp.FamilySpec("diagonal_grid", dims)
     assert gp.gpack_value(gp.generate(family)) == gp.formula_value(family, "gpack")

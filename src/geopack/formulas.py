@@ -7,13 +7,7 @@ from itertools import product as iter_product
 from typing import Sequence
 
 from .errors import ContractViolation, DomainError, Unsupported
-from .geodesics import (
-    Geodesic,
-    _is_transversal,
-    complete_catalog,
-    is_maximal_geodesic,
-    is_uniform_geodesic,
-)
+from .geodesics import Geodesic, _is_transversal, _length_classes, _maximal_pairs, is_maximal_geodesic
 from .graphs import FamilySpec, Graph, diagonal_grid, rook_graph
 from .solvers import Packing
 
@@ -129,15 +123,20 @@ def uniform_product_bound(graphs: Sequence[Graph]) -> int:
     Every factor must be connected and uniform geodesic (each maximal
     geodesic as long as the diameter); the bound is the product of the
     orders divided by one plus the sum of the diameters, rounded down.
+    Both facts come from the maximal pairs, with no catalog: a factor is
+    uniform when its pairs have one distance, which is then its diameter.
     """
     if len(graphs) < 1:
         raise DomainError("bound needs at least one factor")
     order = 1
     diam_sum = 0
     for g in graphs:
-        catalog = complete_catalog(g)
-        if not is_uniform_geodesic(g, catalog):
+        pairs = _maximal_pairs(g.adj)
+        if not pairs or len(pairs[0][3]) < g.n:  # the first source's BFS reaches every vertex
+            raise DomainError("uniform-geodesic check needs a connected graph")
+        lengths = list(_length_classes(pairs))
+        if len(lengths) != 1:
             raise DomainError("bound applies only to uniform geodesic factors")
         order *= g.n
-        diam_sum += len(catalog.paths[0]) - 1  # every entry is a diameter long
+        diam_sum += lengths[0]
     return order // (diam_sum + 1)

@@ -1,10 +1,9 @@
 """Distances, geodesic predicates, and exhaustive maximal-geodesic enumeration.
 
-The pair pass (``_maximal_pairs``) owns the distance facts: it finds the
-maximal pairs with each source's distance row, by one of two strategies it
-picks from its first BFS (one BFS per source, or every ball grown at once as
-a bitmask).  The enumeration, the greedy packing that settles a gpack value
-and the transversal check read its pairs; the predicates run single BFS.
+The pair pass (``_maximal_pairs``) owns the distance facts: the maximal
+pairs with each source's distance row.  The walk (``_list_geodesics``), run
+only by the solvers and ``enumerate``, the transversal check and the length
+classes (``_length_classes``) read it; the predicates run single BFS.
 """
 
 from __future__ import annotations
@@ -422,7 +421,19 @@ def _first_geodesic(
     return None
 
 
-def _greedy_settles(adj: Sequence[Sequence[int]], pairs: list) -> int | None:
+def _length_classes(pairs: _Pairs) -> dict[int, _Pairs]:
+    """Length -> the sources of ``pairs`` with a partner that far, ascending,
+    shortest first: the lengths of the maximal geodesics, as each is as long
+    as its pair's distance and every maximal pair has one."""
+    classes: dict[int, _Pairs] = {}
+    for source in pairs:
+        _, partners, dist, _ = source
+        for length in {dist[v] for v in partners}:
+            classes.setdefault(length, []).append(source)
+    return dict(sorted(classes.items()))
+
+
+def _greedy_settles(adj: Sequence[Sequence[int]], pairs: _Pairs) -> int | None:
     """``n // (d + 1)``, d the shortest pair distance, if the greedy packing
     of ``solvers._greedy_disjoint`` over the sorted catalog reaches it, else None.
 
@@ -431,21 +442,17 @@ def _greedy_settles(adj: Sequence[Sequence[int]], pairs: list) -> int | None:
     through unused vertices, and a used or refuted u stays so.  It gives up
     once the unused vertices cannot make up the bound.
     """
-    classes: dict[int, list] = {}  # length -> the sources with a partner that far, ascending
-    for source in pairs:
-        _, partners, dist, _ = source
-        for length in {dist[v] for v in partners}:
-            classes.setdefault(length, []).append(source)
+    classes = _length_classes(pairs)
     if not classes:
         return None
-    bound = len(adj) // (min(classes) + 1)
+    bound = len(adj) // (next(iter(classes)) + 1)
     used = bytearray(len(adj))
     free = len(adj)
     count = 0
-    for length in sorted(classes):
+    for length, sources in classes.items():
         if count + free // (length + 1) < bound:
             return None
-        for u, partners, dist, _ in classes[length]:
+        for u, partners, dist, _ in sources:
             if used[u]:
                 continue
             path = _first_geodesic(adj, dist, u, length, set(partners), used)
@@ -478,17 +485,10 @@ def _is_transversal(g: Graph, vertices: Sequence[int]) -> bool:
     return True
 
 
-def complete_catalog(
-    g: Graph | None, cap: int = DEFAULT_CAP, catalog: GeodesicCatalog | None = None
-) -> GeodesicCatalog:
-    """Every maximal geodesic: ``catalog`` if given, else ``g``'s, enumerated up to ``cap``.
-
-    gpack and gt are defined over the whole catalog, so every reader of it
-    comes here: a capped prefix raises ``EnumerationOverflow``, with the
-    bounds 0..n of both invariants when ``g`` is given.
-    """
-    if catalog is None:
-        catalog = enumerate_maximal_geodesics(g, cap)
+def complete_catalog(g: Graph | None, catalog: GeodesicCatalog) -> GeodesicCatalog:
+    """``catalog`` if it holds every maximal geodesic: a capped prefix raises
+    ``EnumerationOverflow``, with the bounds 0..n of both invariants when
+    ``g`` is given.  Every reader of a listed catalog comes here."""
     if not catalog.complete:
         bounds = {} if g is None else {"lower": 0, "upper": g.n}
         raise EnumerationOverflow(f"maximal-geodesic catalog exceeded {catalog.cap} entries", **bounds)

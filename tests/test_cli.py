@@ -248,6 +248,24 @@ def test_verify_grids_passes(capsys):
     assert "grid (2, 3, 4): gpack = 12" in out
 
 
+def test_verify_grids_lists_no_catalog(capsys, monkeypatch):
+    # Orders and the packing bound come from the maximal pairs' distances, and
+    # gpack settles from the greedy packing on them, so no cap stops a grid.
+    import geopack.geodesics
+
+    def listing(*args, **kwargs):
+        raise AssertionError("a catalog was listed")
+
+    monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", listing)
+    monkeypatch.setattr(geopack.geodesics, "_list_geodesics", listing)
+    monkeypatch.setattr(geopack.solvers, "_list_geodesics", listing)
+    code, out = run(capsys, "verify", "grids", "--cap", "50")
+    lines = out.splitlines()
+    assert code == 0 and all(line.startswith("PASS ") for line in lines[:-1])
+    assert lines[-1] == f"# {len(lines) - 1}/{len(lines) - 1} passed"
+    assert "PASS grid (30, 30): packing bound = 30" in lines
+
+
 def test_verify_trees_seeded(capsys):
     code, out = run(capsys, "verify", "trees", "--n", "30", "--count", "5", "--seed", "7")
     assert code == 0 and out.count("PASS") == 5
@@ -271,7 +289,6 @@ def test_verify_trees_budget_inconclusive(capsys):
     "suite, limit, stop",
     [
         ("formulas", ("--node-budget", "1"), "gt search stopped: search node budget exhausted"),
-        ("grids", ("--cap", "50"), "maximal-geodesic catalog exceeded 50 entries"),
     ],
 )
 def test_verify_stop_marks_items_inconclusive(capsys, suite, limit, stop):

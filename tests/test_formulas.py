@@ -188,6 +188,19 @@ def test_uniform_bound_rejects_non_uniform_factor():
         gp.uniform_product_bound([])
 
 
+def test_uniform_bound_reads_no_catalog(monkeypatch):
+    # rook:19 has 116,964 maximal geodesics, past the default cap; uniformity
+    # and the diameter come from the maximal pairs.
+    import geopack.geodesics
+
+    def listing(*args, **kwargs):
+        raise AssertionError("a catalog was listed")
+
+    monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", listing)
+    monkeypatch.setattr(geopack.geodesics, "_list_geodesics", listing)
+    assert gp.uniform_product_bound([gp.rook_graph(19)]) == 120
+
+
 def test_uniform_bound_dominates_solver():
     factors = [gp.complete_graph(3), gp.cycle_graph(4), gp.path_graph(3)]
     for a in factors:

@@ -199,11 +199,11 @@ def test_cap_truncates_catalog():
 
 def test_complete_catalog_refuses_a_capped_prefix():
     g = gp.complete_graph(5)
-    full = gp.complete_catalog(g)
+    full = gp.complete_catalog(g, gp.enumerate_maximal_geodesics(g))
     assert gp.complete_catalog(g, catalog=full) is full and full.count == 10
     capped = gp.enumerate_maximal_geodesics(g, cap=4)
     for read, bounds in (
-        (lambda: gp.complete_catalog(g, 4), (0, 5)),
+        (lambda: gp.complete_catalog(g, gp.enumerate_maximal_geodesics(g, 4)), (0, 5)),
         (lambda: gp.is_uniform_geodesic(g, capped), (0, 5)),
         (lambda: gp.shortest_maximal_geodesic_length(capped), (None, None)),
     ):

@@ -81,6 +81,16 @@ def test_only_the_four_public_solves_call_solve():
     assert callers_of("_solve") == {("solvers.py", name) for name in public}
 
 
+def test_only_the_solvers_and_enumerate_list_a_catalog():
+    # Every other reader takes its facts from the maximal pairs: lengths from
+    # geodesics._length_classes, transversals from geodesics._is_transversal.
+    assert callers_of("enumerate_maximal_geodesics", "_list_geodesics") == {
+        ("cli.py", "cmd_enumerate"),
+        ("geodesics.py", "enumerate_maximal_geodesics"),
+        ("solvers.py", "_solve"),
+    }
+
+
 def test_no_library_path_builds_all_pairs_distances():
     # Distance facts come from the pair pass (geodesics._maximal_pairs, by one
     # BFS per source or by bitmask balls) or one BFS per query

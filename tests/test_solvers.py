@@ -561,7 +561,7 @@ def _fractional_bound(paths: tuple[tuple[int, ...], ...], n: int) -> int:
 @given(graphs_st(min_n=15, max_n=30, connected=True))
 @settings(max_examples=15, deadline=None)
 def test_solver_properties_at_n_15_to_30(g):
-    paths = gp.complete_catalog(g).paths
+    paths = gp.complete_catalog(g, gp.enumerate_maximal_geodesics(g)).paths
     catalog = set(paths)
     budget = gp.solvers._Budget("gpack search", gp.DEFAULT_LIMITS, time.monotonic())
     gp.solvers._pack(gp.solvers._number_sets(paths, g.n), budget, want_witness=False)

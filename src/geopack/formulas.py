@@ -132,7 +132,7 @@ def uniform_product_bound(graphs: Sequence[Graph]) -> int:
     diam_sum = 0
     for g in graphs:
         pairs = _maximal_pairs(g.adj)
-        if not pairs or len(pairs[0][3]) < g.n:  # the first source's BFS reaches every vertex
+        if not pairs or g.n in pairs[0][2]:  # n marks a vertex the first BFS missed
             raise DomainError("uniform-geodesic check needs a connected graph")
         lengths = list(_length_classes(pairs))
         if len(lengths) != 1:

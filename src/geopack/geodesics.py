@@ -1,15 +1,18 @@
 """Distances, geodesic predicates, and exhaustive maximal-geodesic enumeration.
 
 The pair pass (``_maximal_pairs``) owns the distance facts: the maximal
-pairs with each source's distance row.  The walk (``_list_geodesics``), run
-only by the solvers and ``enumerate``, the transversal check and the length
-classes (``_length_classes``) read it; the predicates run single BFS.
+pairs with each source's distance row.  One search down a source's BFS
+layers (``_paths_from``) reads it three ways: the walk (``_list_geodesics``,
+run only by the solvers and ``enumerate``) takes every path, the settling
+packing (``_greedy_settles``) the first, and the transversal check
+(``_is_transversal``) asks for any.  The length classes (``_length_classes``)
+read the pairs alone; the predicates run single BFS.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ContractViolation, DomainError, EnumerationOverflow
 from .graphs import Graph
@@ -187,15 +190,14 @@ def is_maximal_geodesic(g: Graph, p: Geodesic | Sequence[int]) -> bool:
 # 0.16-0.4 on denser grids and rook graphs (12-450).
 _BALL_RATIO = 6
 
-_Pairs = list[tuple[int, list[int], list[int], list[int]]]
+_Pairs = list[tuple[int, list[int], list[int]]]
 
 
 def _maximal_pairs(adj: Sequence[Sequence[int]]) -> _Pairs:
-    """The pair pass: ``(u, partners, dist, order)`` for every source u with
-    a maximal partner v >= u, ascending, with the partners ascending, u's
-    distance row (``len(adj)`` at unreached vertices) and u's reached
-    vertices in layer order.  The only source of distance facts besides
-    single BFS queries.
+    """The pair pass: ``(u, partners, dist)`` for every source u with a
+    maximal partner v >= u, ascending, with the partners ascending and u's
+    distance row (``len(adj)`` at unreached vertices).  The only source of
+    distance facts besides single BFS queries.
 
     A vertex v is a sink of u when no neighbour of v is one layer further
     from u.  A geodesic from u to v extends past v exactly when v is not a
@@ -207,13 +209,13 @@ def _maximal_pairs(adj: Sequence[Sequence[int]]) -> _Pairs:
     c's neighbour there is one layer further out, since every path to it
     passes c.  So c ends no maximal geodesic.
 
-    Two strategies give the same pairs and rows (the orders up to order
-    within a layer), after one lowpoint DFS and one BFS from the highest
-    source: one BFS per source, O(k*|E|) (``_bfs_pairs``), or every ball
-    grown at once as a bitmask, O(D*|E|) operations on n-bit integers for
-    the diameter D (``_ball_pairs``).  That first BFS picks the balls when
-    it reaches every vertex and k is at least ``_BALL_RATIO`` times its
-    depth, and is otherwise the first of the per-source BFS.
+    Two strategies give the same pairs and rows, after one lowpoint DFS and
+    one BFS from the highest source: one BFS per source, O(k*|E|)
+    (``_bfs_pairs``), or every ball grown at once as a bitmask, O(D*|E|)
+    operations on n-bit integers for the diameter D (``_ball_pairs``).  That
+    first BFS picks the balls when it reaches every vertex and k is at least
+    ``_BALL_RATIO`` times its depth, and is otherwise the first of the
+    per-source BFS.
     """
     n = len(adj)
     cut = _cut_vertices(adj)
@@ -251,10 +253,10 @@ def _bfs_pairs(
     sinks = [0] * len(adj)
     pairs = []
     for u in sources:
-        dist, order, sinks[u] = first if u == sources[0] else _bfs(adj, u)
+        dist, _, sinks[u] = first if u == sources[0] else _bfs(adj, u)
         partners = _partners(u, sinks)
         if partners:
-            pairs.append((u, partners, dist, order))
+            pairs.append((u, partners, dist))
     pairs.reverse()
     return pairs
 
@@ -304,76 +306,74 @@ def _ball_pairs(adj: Sequence[Sequence[int]], sources: list[int]) -> _Pairs:
             sunk[v] |= layer
         ball = grown
         live = still
-    # The rows hold these shared vertex ids, not a new int per entry: on
-    # rook:30 that is 22 MB less, as much as the rows themselves.
-    ids = list(range(n))
     pairs = []
     for u in reversed(sources):
         partners = _partners(u, sunk)
         if partners:
             dist = [n] * n
-            order = []
             for d, layer in enumerate(layers[u]):
                 while layer:
                     low = layer & -layer
-                    x = ids[low.bit_length() - 1]
-                    dist[x] = d
-                    order.append(x)
+                    dist[low.bit_length() - 1] = d
                     layer ^= low
-            pairs.append((u, partners, dist, order))
+            pairs.append((u, partners, dist))
     return pairs
+
+
+def _paths_from(
+    adj: Sequence[Sequence[int]], dist: Sequence[int], u: int, ends: set[int], used: bytearray | None
+) -> Iterator[tuple[int, ...]]:
+    """The one search down the BFS layers: every path from u down u's layers
+    (``dist``) to a vertex of ``ends``, through no vertex marked in ``used``.
+
+    Depth first, lowest neighbour first, so the paths come out in
+    lexicographic order.  A vertex whose subtree yielded nothing is dead and
+    never entered again, nor is one as deep as the deepest end, so the
+    search costs O(|E|) plus a scan of each live vertex's neighbours per
+    path through it.  An end is a sink of u, so no path runs past one and
+    none is a prefix of another; an isolated u in ``ends`` yields ``(u,)``.
+    Callers never pass empty ``ends``, nor a u marked in ``used``.
+    """
+    if u in ends:
+        yield (u,)
+        return
+    dead = bytearray(len(adj)) if used is None else bytearray(used)
+    deepest = max(dist[v] for v in ends)
+    path = [u]
+    stack = [(iter(adj[u]), 0)]  # each vertex's neighbours, and the count on entry
+    count = 0
+    while stack:
+        nbrs, entered = stack[-1]
+        depth = len(path)
+        for y in nbrs:
+            if dist[y] == depth and not dead[y]:
+                if y in ends:
+                    count += 1
+                    yield (*path, y)
+                elif depth < deepest:
+                    path.append(y)
+                    stack.append((iter(adj[y]), count))
+                    break
+        else:
+            stack.pop()
+            x = path.pop()
+            if count == entered:
+                dead[x] = 1
 
 
 def _list_geodesics(
     adj: Sequence[Sequence[int]], sources: _Pairs, cap: int
 ) -> GeodesicCatalog:
     """The walk: the maximal geodesics between the pairs of ``_maximal_pairs``,
-    sorted, up to ``cap`` entries.
-
-    Per source u, a reverse sweep of u's layers, seeded with the partners,
-    pushes each vertex on a geodesic to a partner onto its neighbours one
-    layer closer to u (Brandes' accumulation over the shortest-path DAG), so
-    a vertex on none scans no edge; one depth-first walk from u then lists
-    the geodesics, lowest neighbour first.
+    sorted, up to ``cap`` entries: per source u, the paths ``_paths_from``
+    finds down u's layers to its partners, in source order.
     """
     paths: list[tuple[int, ...]] = []
-    for u, partners, dist, order in sources:
-        # Sweep u's layers from the outermost inward, starting from the
-        # partners: each kept vertex joins the kids of its neighbours one layer
-        # closer to u, and so keeps them.  The kept vertices are those on a
-        # geodesic from u to a partner; any other costs one membership test.
-        succ: dict[int, list[int]] = {v: [] for v in partners}
-        for x in reversed(order):
-            if x in succ:
-                d = dist[x] - 1
-                for y in adj[x]:
-                    if dist[y] == d:
-                        if y in succ:
-                            succ[y].append(x)
-                        else:
-                            succ[y] = [x]
-        for kids in succ.values():
-            if len(kids) > 1:
-                kids.sort()
-        # Depth first from u, lowest successor first: preorder is lexicographic
-        # order, and every step lies on a geodesic the walk emits.  The root
-        # level holds u alone and adds nothing to the path, so an isolated u
-        # comes out as (u,).
-        path: list[int] = []
-        stack = [iter((u,))]
-        while stack:
-            y = next(stack[-1], None)
-            if y is None:
-                stack.pop()
-                if path:
-                    path.pop()
-            elif succ[y]:
-                path.append(y)
-                stack.append(iter(succ[y]))
-            elif len(paths) == cap:
+    for u, partners, dist in sources:
+        for path in _paths_from(adj, dist, u, set(partners), None):
+            if len(paths) == cap:
                 return GeodesicCatalog(tuple(paths), False, cap)
-            else:
-                paths.append((*path, y))
+            paths.append(path)
     return GeodesicCatalog(tuple(paths), True, cap)
 
 
@@ -392,42 +392,13 @@ def enumerate_maximal_geodesics(g: Graph, cap: int = DEFAULT_CAP) -> GeodesicCat
     return _list_geodesics(g.adj, _maximal_pairs(g.adj), cap)
 
 
-def _first_geodesic(
-    adj: Sequence[Sequence[int]], dist: Sequence[int], u: int, length: int, ends: set[int], used: bytearray
-) -> list[int] | None:
-    # The lexicographically least path from u down u's BFS layers (``dist``)
-    # through unused vertices to a vertex of ``ends`` at depth ``length``, or
-    # None.  Depth first, lowest neighbour first; a vertex found to lead to
-    # no such end stays dead, so a search costs O(|E|).
-    if not length:
-        return [u]
-    path = [u]
-    dead = set()
-    stack = [iter(adj[u])]
-    while stack:
-        depth = len(path)
-        for y in stack[-1]:
-            if dist[y] == depth and not used[y] and y not in dead:
-                if depth < length:
-                    path.append(y)
-                    stack.append(iter(adj[y]))
-                    break
-                if y in ends:
-                    path.append(y)
-                    return path
-        else:
-            stack.pop()
-            dead.add(path.pop())
-    return None
-
-
 def _length_classes(pairs: _Pairs) -> dict[int, _Pairs]:
     """Length -> the sources of ``pairs`` with a partner that far, ascending,
     shortest first: the lengths of the maximal geodesics, as each is as long
     as its pair's distance and every maximal pair has one."""
     classes: dict[int, _Pairs] = {}
     for source in pairs:
-        _, partners, dist, _ = source
+        _, partners, dist = source
         for length in {dist[v] for v in partners}:
             classes.setdefault(length, []).append(source)
     return dict(sorted(classes.items()))
@@ -452,10 +423,11 @@ def _greedy_settles(adj: Sequence[Sequence[int]], pairs: _Pairs) -> int | None:
     for length, sources in classes.items():
         if count + free // (length + 1) < bound:
             return None
-        for u, partners, dist, _ in sources:
+        for u, partners, dist in sources:
             if used[u]:
                 continue
-            path = _first_geodesic(adj, dist, u, length, set(partners), used)
+            ends = {v for v in partners if dist[v] == length}
+            path = next(_paths_from(adj, dist, u, ends, used), None)
             if path is not None:
                 for x in path:
                     used[x] = 1
@@ -469,19 +441,17 @@ def _greedy_settles(adj: Sequence[Sequence[int]], pairs: _Pairs) -> int | None:
 def _is_transversal(g: Graph, vertices: Sequence[int]) -> bool:
     """True iff ``vertices`` (S) meets every maximal geodesic of ``g``, with no catalog.
 
-    A maximal geodesic missing S is a path of G - S between its maximal pair
-    as long as their distance in G, and such a path is a geodesic of G, so
-    maximal.  So S is a transversal exactly when no maximal pair outside S
-    keeps its distance in G - S: one BFS of G - S per source outside S (a
-    partner in S is unreached there).
+    Every maximal geodesic runs from a source u of ``_maximal_pairs`` down
+    u's layers to a partner, and every such path is a maximal geodesic.  So
+    S is a transversal exactly when ``_paths_from`` finds no path from a
+    source outside S that avoids S.
     """
-    hit = set(vertices)
-    rest = [() if x in hit else tuple(y for y in nbrs if y not in hit) for x, nbrs in enumerate(g.adj)]
-    for u, partners, dist, _ in _maximal_pairs(g.adj):
-        if u not in hit:
-            far = _bfs(rest, u)[0]
-            if any(far[v] == dist[v] for v in partners):
-                return False
+    used = bytearray(g.n)
+    for x in vertices:
+        used[x] = 1
+    for u, partners, dist in _maximal_pairs(g.adj):
+        if not used[u] and next(_paths_from(g.adj, dist, u, set(partners), used), None) is not None:
+            return False
     return True
 
 

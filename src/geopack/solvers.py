@@ -682,7 +682,7 @@ def verify_np_reduction(g: Graph, limits: SolveLimits = DEFAULT_LIMITS) -> bool:
     survives as a length-1 maximal geodesic) and raise ContractViolation.
     """
     derived = derived_graph(g)
-    for u, partners, dist, _ in _maximal_pairs(derived.adj):
+    for u, partners, dist in _maximal_pairs(derived.adj):
         for v in partners:
             if dist[v] != 2:
                 raise ContractViolation(f"derived graph has the maximal pair ({u}, {v}) at distance {dist[v]}")

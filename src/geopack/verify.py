@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from . import SUITE_NAMES
 from .errors import BudgetExceeded, Unsupported
 from .formulas import diagonal_grid_packing, formula_value, rook_complement_set
-from .geodesics import _bfs, _length_classes, _maximal_pairs
+from .geodesics import _bfs, _is_transversal, _length_classes, _maximal_pairs
 from .graphs import FamilySpec, Graph, diagonal_grid, generate
 from .solvers import (
     DEFAULT_LIMITS,
@@ -170,6 +170,11 @@ def _grids(size: int, count: int, seed: int, limits: SolveLimits) -> list[CheckR
                   lambda: (set(orders).issubset(dims), f"orders {orders}")),
             _item(f"grid {dims}: packing bound = {want}", lambda: _equal(g.n // orders[0], want)),
         )
+        if len(dims) == 2:
+            # An upper bound on gt, checked on the maximal pairs with no catalog.
+            cross = [v for v, (i, j) in enumerate(g.labels) if i == 0 or j == 0]
+            results.append(_item(f"grid {dims}: first row and column meet every maximal geodesic, gt <= {len(cross)}",
+                                 lambda: (_is_transversal(g, cross), "")))
     return results
 
 

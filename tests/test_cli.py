@@ -264,6 +264,7 @@ def test_verify_grids_lists_no_catalog(capsys, monkeypatch):
     assert code == 0 and all(line.startswith("PASS ") for line in lines[:-1])
     assert lines[-1] == f"# {len(lines) - 1}/{len(lines) - 1} passed"
     assert "PASS grid (30, 30): packing bound = 30" in lines
+    assert "PASS grid (30, 30): first row and column meet every maximal geodesic, gt <= 59" in lines
 
 
 def test_verify_trees_seeded(capsys):

@@ -186,6 +186,10 @@ def test_uniform_bound_rejects_non_uniform_factor():
         gp.uniform_product_bound([lopsided])
     with pytest.raises(DomainError):
         gp.uniform_product_bound([])
+    # Two length-1 pairs are uniform, but the factor is not connected.
+    for factor in (gp.Graph.from_edges(4, [(0, 1), (2, 3)]), gp.Graph.from_edges(0, [])):
+        with pytest.raises(DomainError, match="needs a connected graph"):
+            gp.uniform_product_bound([factor])
 
 
 def test_uniform_bound_reads_no_catalog(monkeypatch):

@@ -327,10 +327,7 @@ def _both_pair_passes(g: gp.Graph) -> tuple[list, list]:
 
 def _assert_same_pairs(g: gp.Graph) -> None:
     reference, balls = _both_pair_passes(g)
-    assert [(u, partners, dist) for u, partners, dist, _ in balls] == [(u, p, d) for u, p, d, _ in reference]
-    # The orders agree up to order within a layer; the balls list each layer ascending.
-    for (_, _, dist, order), (_, _, _, ball_order) in zip(reference, balls):
-        assert ball_order == sorted(order, key=lambda x: (dist[x], x))
+    assert balls == reference
 
 
 @given(graphs_st(min_n=0, max_n=9))
@@ -439,6 +436,22 @@ def test_catalog_matches_networkx_on_a_benchmark_grid():
 def test_catalog_matches_networkx_on_a_dense_benchmark_grid():
     g = gp.diagonal_grid((3, 3, 3, 3))  # 16,448 maximal geodesics on 1,160 edges
     assert list(gp.enumerate_maximal_geodesics(g).paths) == nx_maximal_geodesics(g)
+
+
+@given(graphs_st(min_n=0, max_n=9), st.data())
+@settings(max_examples=150)
+def test_paths_from_a_source_are_its_maximal_geodesics_missing_used(g, data):
+    # In lexicographic order: the brute-force maximal geodesics starting at u
+    # (so ending at a partner v >= u) that meet no used vertex.
+    maximal = sorted(oracle_maximal_geodesics(g))
+    chosen = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    used = bytearray(g.n)
+    for x in chosen:
+        used[x] = 1
+    for u, partners, dist in gp.geodesics._maximal_pairs(g.adj):
+        if not used[u]:
+            paths = gp.geodesics._paths_from(g.adj, dist, u, set(partners), used)
+            assert list(paths) == [p for p in maximal if p[0] == u and chosen.isdisjoint(p)]
 
 
 @given(graphs_st(min_n=0, max_n=9), st.data())

@@ -91,6 +91,16 @@ def test_only_the_solvers_and_enumerate_list_a_catalog():
     }
 
 
+def test_one_search_walks_down_the_bfs_layers():
+    # The catalog walk, the settling packing and the transversal check all
+    # search u's layers through geodesics._paths_from, and nothing else does.
+    assert callers_of("_paths_from") == {
+        ("geodesics.py", "_list_geodesics"),
+        ("geodesics.py", "_greedy_settles"),
+        ("geodesics.py", "_is_transversal"),
+    }
+
+
 def test_no_library_path_builds_all_pairs_distances():
     # Distance facts come from the pair pass (geodesics._maximal_pairs, by one
     # BFS per source or by bitmask balls) or one BFS per query

@@ -222,7 +222,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
             "ratio": str(report.ratio),
         }
         if args.family == "rook":
-            from .verify import rook_ratio_curve  # only the rook column needs the suites
+            from .formulas import rook_ratio_curve  # only the rook column needs the closed forms
 
             row["curve"] = str(rook_ratio_curve(n))
         rows.append(row)

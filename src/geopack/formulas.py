@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import math
 from itertools import product as iter_product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ContractViolation, DomainError, Unsupported
 from .geodesics import Geodesic, _is_transversal, _length_classes, _maximal_pairs, is_maximal_geodesic
 from .graphs import FamilySpec, Graph, diagonal_grid, rook_graph
 from .solvers import Packing
+
+if TYPE_CHECKING:  # rook_ratio_curve imports it when it runs
+    from fractions import Fraction
 
 _INVARIANTS = ("gpack", "gt")
 
@@ -140,3 +143,10 @@ def uniform_product_bound(graphs: Sequence[Graph]) -> int:
         order *= g.n
         diam_sum += lengths[0]
     return order // (diam_sum + 1)
+
+
+def rook_ratio_curve(n: int) -> Fraction:
+    """The rook-graph lower-bound curve 3(1 - 2/n + 2/n^2) as an exact rational."""
+    from fractions import Fraction
+
+    return Fraction(3 * (n * n - 2 * n + 2), n * n)

@@ -3,8 +3,8 @@
 The pair pass (``_maximal_pairs``) owns the distance facts: the maximal
 pairs with each source's distance row.  One search down a source's BFS
 layers (``_paths_from``) reads it three ways: the walk (``_list_geodesics``,
-run only by the solvers and ``enumerate``) takes every path, the settling
-packing (``_greedy_settles``) the first, and the transversal check
+run only by the solvers and ``enumerate``) takes every path, the greedy
+packing (``_greedy_packing``) the first, and the transversal check
 (``_is_transversal``) asks for any.  The length classes (``_length_classes``)
 read the pairs alone; the predicates run single BFS.
 """
@@ -404,38 +404,27 @@ def _length_classes(pairs: _Pairs) -> dict[int, _Pairs]:
     return dict(sorted(classes.items()))
 
 
-def _greedy_settles(adj: Sequence[Sequence[int]], pairs: _Pairs) -> int | None:
-    """``n // (d + 1)``, d the shortest pair distance, if the greedy packing
-    of ``solvers._greedy_disjoint`` over the sorted catalog reaches it, else None.
+def _greedy_packing(adj: Sequence[Sequence[int]], pairs: _Pairs) -> list[tuple[int, ...]]:
+    """P, the greedy packing of ``solvers._greedy_disjoint`` over the sorted
+    catalog, found from the maximal pairs without listing it.
 
-    That packing goes shortest first, then in catalog order, so by source u:
-    each unused u takes its lexicographically least geodesic of the length
-    through unused vertices, and a used or refuted u stays so.  It gives up
-    once the unused vertices cannot make up the bound.
+    That packing goes shortest first, then in catalog order, so by source:
+    per length class, each unused source u takes its lexicographically least
+    geodesic of the length through unused vertices, if it has one.  No
+    maximal geodesic misses V(P), so |P| <= gpack <= gt <= |V(P)|.
     """
-    classes = _length_classes(pairs)
-    if not classes:
-        return None
-    bound = len(adj) // (next(iter(classes)) + 1)
+    packing = []
     used = bytearray(len(adj))
-    free = len(adj)
-    count = 0
-    for length, sources in classes.items():
-        if count + free // (length + 1) < bound:
-            return None
+    for length, sources in _length_classes(pairs).items():
         for u, partners, dist in sources:
-            if used[u]:
-                continue
-            ends = {v for v in partners if dist[v] == length}
-            path = next(_paths_from(adj, dist, u, ends, used), None)
-            if path is not None:
-                for x in path:
-                    used[x] = 1
-                free -= length + 1
-                count += 1
-                if count == bound:
-                    return bound
-    return None
+            if not used[u]:
+                ends = {v for v in partners if dist[v] == length}
+                path = next(_paths_from(adj, dist, u, ends, used), None)
+                if path is not None:
+                    for x in path:
+                        used[x] = 1
+                    packing.append(path)
+    return packing
 
 
 def _is_transversal(g: Graph, vertices: Sequence[int]) -> bool:

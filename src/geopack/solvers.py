@@ -9,7 +9,8 @@ numbers a catalog keeps it (``_kept``) for the next solve of the same graph
 and cap, and releases the old one before listing, so at most one catalog is
 alive: that is the only way two solves share a catalog, and a check that
 wants both invariants solves gt first, as gt always numbers.  A value-only
-gpack solve may settle with no catalog (``_solve``).
+gpack solve may settle on the greedy packing of the maximal pairs, with no
+catalog (``_solve``).
 
 Both engines are branch and bound, as gpack is NP-complete: ``_pack`` packs
 pairwise disjoint sets (gpack, and the induced-P3 packing of the reduction)
@@ -38,7 +39,7 @@ from .geodesics import (
     DEFAULT_CAP,
     Geodesic,
     GeodesicCatalog,
-    _greedy_settles,
+    _greedy_packing,
     _list_geodesics,
     _maximal_pairs,
     complete_catalog,
@@ -300,7 +301,7 @@ def _pack_search(
     instance as the same node; a reduction that empties ``cand`` settles the
     search in that one node.  The bounds go first, as they stop most
     searches before a reduction would run: over perfbench's random seed 1,
-    5,919 packing searches run 1,975 root reductions (gt: 6,684 and 1,837).
+    5,919 packing searches run 1,975 root reductions (gt: 6,684 and 1,703).
     """
     found = None
     if best < 0:  # the empty packing always exists
@@ -323,7 +324,8 @@ def _pack_search(
         # a candidate's vertices weigh at most unit in all, so spread / unit
         # is at most the number of live candidates.  It only skips the O(n)
         # pass, at 5,467 of the 22,128 nodes that reach it over perfbench's
-        # random seed 1 and at 7,436 of 742,118 on random_graph(40, 0.15).
+        # random seed 1 and at 7,436 of 742,118 in gpack_report of
+        # random_graph(40, 0.15, Random(1)).
         if cand.bit_count() <= slack:
             continue
         hold = spread = 0
@@ -567,12 +569,14 @@ def _solve(g: Graph, limits: SolveLimits, invariant: str, want_witness: bool = T
     capped catalog raises before it can be kept.  The engines only read the
     numbered state, so a kept catalog gives the same results as a fresh one.
 
-    The settle rule: a value-only gpack solve that misses ``_kept`` lists
-    no path when the greedy packing meets n // (d + 1), d the smallest pair
-    distance, which caps every packing (``geodesics._greedy_settles``).  It
-    returns that bound with 0 nodes, as ``_pack`` would, whose greedy is this
-    one and whose fractional bound is at most the same; it numbers and keeps
-    nothing, and the cap does not stop it.
+    The settle rule: a value-only gpack solve that misses ``_kept`` reads
+    the greedy packing P of the same pairs (``geodesics._greedy_packing``)
+    and lists no path when |P| meets n // |P[0]|.  P[0] comes from the
+    shortest length class, whose first source finds a path while nothing is
+    used, so |P[0]| = d + 1 for d the smallest pair distance, and
+    n // (d + 1) caps every packing.  The solve returns |P| with 0 nodes, as
+    ``_pack`` would, whose greedy is P and whose fractional bound is at most
+    the same; it numbers and keeps nothing, and the cap does not stop it.
     """
     global _kept
     started = time.monotonic()
@@ -583,11 +587,11 @@ def _solve(g: Graph, limits: SolveLimits, invariant: str, want_witness: bool = T
         _kept = None
         pairs = _maximal_pairs(g.adj)
         if invariant == "gpack" and not want_witness:
-            value = _greedy_settles(g.adj, pairs)
-            if value is not None:
-                return SolveResult(value, None, SolveStats(0, int((time.monotonic() - started) * 1000)))
+            packing = _greedy_packing(g.adj, pairs)
+            if packing and len(packing) == g.n // len(packing[0]):
+                return SolveResult(len(packing), None, SolveStats(0, int((time.monotonic() - started) * 1000)))
         catalog = complete_catalog(g, catalog=_list_geodesics(g.adj, pairs, limits.max_geodesics))
-        del pairs  # two BFS rows per source: free them before numbering
+        del pairs  # a BFS row per source: free them before numbering
         numbered = _number_sets(catalog.paths, g.n)
         _kept = (key, numbered)
     budget = _Budget(f"{invariant} search", limits, started)

@@ -10,7 +10,7 @@ stops it.  Random inputs are fully determined by the caller's seed.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import SUITE_NAMES
 from .errors import BudgetExceeded, Unsupported
@@ -26,9 +26,6 @@ from .solvers import (
     verify_tree_equality,
 )
 from .trees import random_tree, tree_from_pruefer
-
-if TYPE_CHECKING:  # rook_ratio_curve imports it when it runs
-    from fractions import Fraction
 
 _GRID_DIMS = (
     (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4),
@@ -49,13 +46,6 @@ class CheckResult(NamedTuple):
     label: str
     passed: bool | None  # None marks an inconclusive (budget-limited) check
     detail: str = ""
-
-
-def rook_ratio_curve(n: int) -> Fraction:
-    """The rook-graph lower-bound curve 3(1 - 2/n + 2/n^2) as an exact rational."""
-    from fractions import Fraction
-
-    return Fraction(3 * (n * n - 2 * n + 2), n * n)
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

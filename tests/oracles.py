@@ -273,17 +273,15 @@ def greedy_cover_reference(uncovered: int, stars: list[int]) -> int:
     return picked
 
 
-def greedy_reaches_reference(sets, bound: int) -> bool:
+def greedy_packing_reference(sets) -> list:
     """The greedy packing over listed sets, shortest first with ties in input
-    order: True once it holds ``bound`` pairwise disjoint sets.  Run on the
-    sorted catalog, it is the packing ``geodesics._greedy_settles`` finds from
-    the maximal pairs without listing a path."""
+    order: each set disjoint from those taken so far joins.  Run on the
+    sorted catalog, it is the packing ``geodesics._greedy_packing`` finds
+    from the maximal pairs without listing a path."""
     used: set[int] = set()
-    count = 0
+    packing = []
     for vertices in sorted(sets, key=len):
         if used.isdisjoint(vertices):
             used.update(vertices)
-            count += 1
-            if count == bound:
-                return True
-    return False
+            packing.append(vertices)
+    return packing

@@ -16,12 +16,8 @@ from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import geopack as gp
-from geopack.verify import (
-    _GRID_DIMS,
-    random_connected_bipartite_max3,
-    random_graph,
-    rook_ratio_curve,
-)
+from geopack.formulas import rook_ratio_curve
+from geopack.verify import _GRID_DIMS, random_connected_bipartite_max3, random_graph
 
 from oracles import oracle_gpack, oracle_gt, oracle_maximal_geodesics
 

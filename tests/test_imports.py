@@ -92,13 +92,19 @@ def test_only_the_solvers_and_enumerate_list_a_catalog():
 
 
 def test_one_search_walks_down_the_bfs_layers():
-    # The catalog walk, the settling packing and the transversal check all
+    # The catalog walk, the greedy packing and the transversal check all
     # search u's layers through geodesics._paths_from, and nothing else does.
     assert callers_of("_paths_from") == {
         ("geodesics.py", "_list_geodesics"),
-        ("geodesics.py", "_greedy_settles"),
+        ("geodesics.py", "_greedy_packing"),
         ("geodesics.py", "_is_transversal"),
     }
+
+
+def test_only_the_solve_reads_the_greedy_packing():
+    # geodesics._greedy_packing returns P and nothing more; the settle rule
+    # that compares |P| with n // |P[0]| lives in solvers._solve alone.
+    assert callers_of("_greedy_packing") == {("solvers.py", "_solve")}
 
 
 def test_no_library_path_builds_all_pairs_distances():
@@ -192,12 +198,13 @@ def test_import_loads_only_the_modules_it_needs(module, loaded):
         (["tree", "--family", "path:5", "--format", "json"], "cli errors graphs trees"),
         (["generate", "--family", "rook:3"], "cli errors graphs"),
         (["ratio", "complete", "--max", "3"], "cli errors geodesics graphs solvers"),
+        (["ratio", "rook", "--max", "3"], "cli errors formulas geodesics graphs solvers"),
     ],
 )
 def test_a_cli_call_loads_only_the_modules_its_command_runs(argv, loaded):
     # Every module a call loads is compiled on each start without a bytecode
-    # cache, so a command loads only what it runs; ratio loads the suites only
-    # for the rook curve.
+    # cache, so a command loads only what it runs; ratio loads the closed
+    # forms only for the rook curve, and never the suites.
     code = (
         "import contextlib, io, sys, geopack.cli\n"
         f"with contextlib.redirect_stdout(io.StringIO()): code = geopack.cli.main({argv!r})\n"

@@ -19,7 +19,7 @@ from geopack.verify import random_graph
 
 from conftest import counted, graphs_st, trees_st, walks
 from oracles import (
-    greedy_reaches_reference,
+    greedy_packing_reference,
     nx_maximal_geodesics,
     oracle_gpack,
     oracle_gt,
@@ -758,13 +758,17 @@ def sparse_or_dense_graphs(draw):
 def test_the_pair_greedy_matches_the_greedy_over_the_catalog(g):
     catalog = gp.enumerate_maximal_geodesics(g)
     assert list(catalog.paths) == nx_maximal_geodesics(g)
-    pairs = gp.geodesics._maximal_pairs(g.adj)
-    settled = gp.geodesics._greedy_settles(g.adj, pairs)
-    if not catalog.paths:
-        assert g.n == 0 and settled is None
-        return
-    bound = gp.gpack_upper_bound(g, catalog)
-    assert settled == (bound if greedy_reaches_reference(catalog.paths, bound) else None)
+    packing = gp.geodesics._greedy_packing(g.adj, gp.geodesics._maximal_pairs(g.adj))
+    assert packing == greedy_packing_reference(catalog.paths)
+    # P is a packing of maximal geodesics that no maximal geodesic misses,
+    # so |P| <= gpack <= gt <= |V(P)|; the value solve, which may settle on
+    # P, agrees with the search over the catalog.
+    covered = [v for path in packing for v in path]
+    assert len(set(covered)) == len(covered)
+    assert all(gp.is_maximal_geodesic(g, path) for path in packing)
+    assert gp.geodesics._is_transversal(g, covered)
+    gpack = gp.gpack_value(g)
+    assert len(packing) <= gpack == gp.gpack_report(g).value <= gp.gt_value(g) <= len(covered)
 
 
 def test_a_settled_gpack_value_needs_no_catalog_past_the_cap():

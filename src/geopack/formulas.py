@@ -7,7 +7,7 @@ from itertools import product as iter_product
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ContractViolation, DomainError, Unsupported
-from .geodesics import Geodesic, _is_transversal, _length_classes, _maximal_pairs, is_maximal_geodesic
+from .geodesics import Geodesic, _greedy_packing, _length_classes, _maximal_pairs, is_maximal_geodesic
 from .graphs import FamilySpec, Graph, diagonal_grid, rook_graph
 from .solvers import Packing
 
@@ -107,7 +107,8 @@ def rook_complement_set(n: int) -> tuple[int, ...]:
     Takes all of row 0 except the last column, plus all of the last column
     except row 0: 2n-2 vertices containing no complete maximal geodesic, so
     the remaining n^2-2n+2 vertices hit every maximal geodesic.  That is
-    checked from the maximal pairs, with no catalog, so no cap applies.
+    checked on the maximal pairs, with no catalog, so no cap applies: the
+    greedy packing that avoids the complement is empty.
     """
     if n < 2:
         raise DomainError("rook complement construction needs n >= 2")
@@ -115,7 +116,8 @@ def rook_complement_set(n: int) -> tuple[int, ...]:
     by_label = g.label_index()
     chosen = {by_label[(0, j)] for j in range(n - 1)}
     chosen.update(by_label[(i, n - 1)] for i in range(1, n))
-    if not _is_transversal(g, [v for v in range(g.n) if v not in chosen]):
+    complement = [v for v in range(g.n) if v not in chosen]
+    if any(_greedy_packing(g.adj, _maximal_pairs(g.adj), complement)):
         raise ContractViolation("complement set contains a maximal geodesic")
     return tuple(sorted(chosen))
 

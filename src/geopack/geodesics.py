@@ -2,17 +2,18 @@
 
 The pair pass (``_maximal_pairs``) owns the distance facts: the maximal
 pairs with each source's distance row.  One search down a source's BFS
-layers (``_paths_from``) reads it three ways: the walk (``_list_geodesics``,
-run only by the solvers and ``enumerate``) takes every path, the greedy
-packing (``_greedy_packing``) the first, and the transversal check
-(``_is_transversal``) asks for any.  The length classes (``_length_classes``)
-read the pairs alone; the predicates run single BFS.
+layers (``_paths_from``) reads it two ways: the walk (``_list_geodesics``,
+run only by the solvers and ``enumerate``) takes every path, and the greedy
+packing (``_greedy_packing``) the first.  A set S meets every maximal
+geodesic exactly when the greedy packing that avoids S is empty.  The length
+classes (``_length_classes``) read the pairs alone; the predicates run
+single BFS.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractViolation, DomainError, EnumerationOverflow
 from .graphs import Graph
@@ -404,17 +405,24 @@ def _length_classes(pairs: _Pairs) -> dict[int, _Pairs]:
     return dict(sorted(classes.items()))
 
 
-def _greedy_packing(adj: Sequence[Sequence[int]], pairs: _Pairs) -> list[tuple[int, ...]]:
+def _greedy_packing(
+    adj: Sequence[Sequence[int]], pairs: _Pairs, avoid: Iterable[int]
+) -> Iterator[tuple[int, ...]]:
     """P, the greedy packing of ``solvers._greedy_disjoint`` over the sorted
-    catalog, found from the maximal pairs without listing it.
+    catalog of the maximal geodesics missing ``avoid``, found from the
+    maximal pairs without listing it, each member as it is found.
 
     That packing goes shortest first, then in catalog order, so by source:
     per length class, each unused source u takes its lexicographically least
-    geodesic of the length through unused vertices, if it has one.  No
-    maximal geodesic misses V(P), so |P| <= gpack <= gt <= |V(P)|.
+    geodesic of the length through unused vertices, if it has one.  P is
+    inclusion-maximal, so no such geodesic misses V(P), and with ``avoid``
+    empty |P| <= gpack <= gt <= |V(P)|.  So ``avoid`` meets every maximal
+    geodesic exactly when nothing is yielded, and a caller asking only that
+    stops at the first member.
     """
-    packing = []
     used = bytearray(len(adj))
+    for x in avoid:
+        used[x] = 1
     for length, sources in _length_classes(pairs).items():
         for u, partners, dist in sources:
             if not used[u]:
@@ -423,25 +431,7 @@ def _greedy_packing(adj: Sequence[Sequence[int]], pairs: _Pairs) -> list[tuple[i
                 if path is not None:
                     for x in path:
                         used[x] = 1
-                    packing.append(path)
-    return packing
-
-
-def _is_transversal(g: Graph, vertices: Sequence[int]) -> bool:
-    """True iff ``vertices`` (S) meets every maximal geodesic of ``g``, with no catalog.
-
-    Every maximal geodesic runs from a source u of ``_maximal_pairs`` down
-    u's layers to a partner, and every such path is a maximal geodesic.  So
-    S is a transversal exactly when ``_paths_from`` finds no path from a
-    source outside S that avoids S.
-    """
-    used = bytearray(g.n)
-    for x in vertices:
-        used[x] = 1
-    for u, partners, dist in _maximal_pairs(g.adj):
-        if not used[u] and next(_paths_from(g.adj, dist, u, set(partners), used), None) is not None:
-            return False
-    return True
+                    yield path
 
 
 def complete_catalog(g: Graph | None, catalog: GeodesicCatalog) -> GeodesicCatalog:

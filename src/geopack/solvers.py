@@ -587,7 +587,7 @@ def _solve(g: Graph, limits: SolveLimits, invariant: str, want_witness: bool = T
         _kept = None
         pairs = _maximal_pairs(g.adj)
         if invariant == "gpack" and not want_witness:
-            packing = _greedy_packing(g.adj, pairs)
+            packing = list(_greedy_packing(g.adj, pairs, ()))
             if packing and len(packing) == g.n // len(packing[0]):
                 return SolveResult(len(packing), None, SolveStats(0, int((time.monotonic() - started) * 1000)))
         catalog = complete_catalog(g, catalog=_list_geodesics(g.adj, pairs, limits.max_geodesics))

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import graphs_st, walks
+from conftest import counted, graphs_st, walks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -251,7 +251,11 @@ def test_verify_grids_passes(capsys):
 def test_verify_grids_lists_no_catalog(capsys, monkeypatch):
     # Orders and the packing bound come from the maximal pairs' distances, and
     # gpack settles from the greedy packing on them, so no cap stops a grid.
+    # Each grid runs two pair passes: one for its orders, bound and
+    # row-plus-column check, and one in gpack_value's settle.
+    import geopack.formulas
     import geopack.geodesics
+    import geopack.verify
 
     def listing(*args, **kwargs):
         raise AssertionError("a catalog was listed")
@@ -259,10 +263,14 @@ def test_verify_grids_lists_no_catalog(capsys, monkeypatch):
     monkeypatch.setattr(geopack.geodesics, "enumerate_maximal_geodesics", listing)
     monkeypatch.setattr(geopack.geodesics, "_list_geodesics", listing)
     monkeypatch.setattr(geopack.solvers, "_list_geodesics", listing)
+    pair_passes = counted(
+        monkeypatch, "_maximal_pairs", geopack.geodesics, geopack.formulas, geopack.solvers, geopack.verify
+    )
     code, out = run(capsys, "verify", "grids", "--cap", "50")
     lines = out.splitlines()
     assert code == 0 and all(line.startswith("PASS ") for line in lines[:-1])
     assert lines[-1] == f"# {len(lines) - 1}/{len(lines) - 1} passed"
+    assert len(pair_passes) == 2 * len(geopack.verify._GRID_DIMS) == 32
     assert "PASS grid (30, 30): packing bound = 30" in lines
     assert "PASS grid (30, 30): first row and column meet every maximal geodesic, gt <= 59" in lines
 

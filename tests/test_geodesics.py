@@ -457,13 +457,16 @@ def test_paths_from_a_source_are_its_maximal_geodesics_missing_used(g, data):
 @given(graphs_st(min_n=0, max_n=9), st.data())
 @settings(max_examples=200)
 def test_transversal_check_matches_the_catalog(g, data):
-    # Random sets, an optimal transversal, and that transversal less one vertex.
+    # A set meets every maximal geodesic exactly when the greedy packing that
+    # avoids it is empty. Random sets, an optimal transversal, and that
+    # transversal less one vertex.
     paths = gp.enumerate_maximal_geodesics(g).paths
+    pairs = gp.geodesics._maximal_pairs(g.adj)
     chosen = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
     optimal = list(gp.gt_report(g).witness.vertices)
     for vertices in (chosen, optimal, optimal[1:]):
         hits_all = all(not set(vertices).isdisjoint(p) for p in paths)
-        assert gp.geodesics._is_transversal(g, vertices) == hits_all
+        assert (not any(gp.geodesics._greedy_packing(g.adj, pairs, vertices))) == hits_all
 
 
 @given(graphs_st(max_n=7))

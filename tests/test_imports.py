@@ -83,7 +83,8 @@ def test_only_the_four_public_solves_call_solve():
 
 def test_only_the_solvers_and_enumerate_list_a_catalog():
     # Every other reader takes its facts from the maximal pairs: lengths from
-    # geodesics._length_classes, transversals from geodesics._is_transversal.
+    # geodesics._length_classes, transversals from the greedy packing
+    # (geodesics._greedy_packing), which is empty when it avoids one.
     assert callers_of("enumerate_maximal_geodesics", "_list_geodesics") == {
         ("cli.py", "cmd_enumerate"),
         ("geodesics.py", "enumerate_maximal_geodesics"),
@@ -92,19 +93,24 @@ def test_only_the_solvers_and_enumerate_list_a_catalog():
 
 
 def test_one_search_walks_down_the_bfs_layers():
-    # The catalog walk, the greedy packing and the transversal check all
-    # search u's layers through geodesics._paths_from, and nothing else does.
+    # The catalog walk and the greedy packing search u's layers through
+    # geodesics._paths_from, and nothing else does: a transversal check is a
+    # greedy packing that avoids the set.
     assert callers_of("_paths_from") == {
         ("geodesics.py", "_list_geodesics"),
         ("geodesics.py", "_greedy_packing"),
-        ("geodesics.py", "_is_transversal"),
     }
 
 
-def test_only_the_solve_reads_the_greedy_packing():
-    # geodesics._greedy_packing returns P and nothing more; the settle rule
-    # that compares |P| with n // |P[0]| lives in solvers._solve alone.
-    assert callers_of("_greedy_packing") == {("solvers.py", "_solve")}
+def test_the_greedy_packing_settles_gpack_and_checks_transversals():
+    # geodesics._greedy_packing yields P and nothing more. The settle rule
+    # that compares |P| with n // |P[0]| lives in solvers._solve alone; the
+    # two other callers ask only whether the packing avoiding a set is empty.
+    assert callers_of("_greedy_packing") == {
+        ("solvers.py", "_solve"),
+        ("formulas.py", "rook_complement_set"),
+        ("verify.py", "_grids"),
+    }
 
 
 def test_no_library_path_builds_all_pairs_distances():

@@ -494,6 +494,26 @@ def test_reduction_length_assertion_fires_on_dominated_edges():
         gp.verify_np_reduction(diamond)
 
 
+def test_reduction_holds_exactly_on_graphs_without_a_closed_twin_edge(atlas_connected):
+    # z is universal in the derived graph, so an edge uv of G is a maximal
+    # geodesic there exactly when N[u] = N[v], and the length check raises.
+    # On the atlas graphs (n = 3..7) without such an edge the identity holds:
+    # checked here, not proved.
+    twins = plain = 0
+    for g in atlas_connected:
+        if g.n < 3:
+            continue
+        closed = [{v, *g.adj[v]} for v in range(g.n)]
+        if any(closed[u] == closed[v] for u in range(g.n) for v in g.adj[u]):
+            with pytest.raises(ContractViolation, match="at distance 1$"):
+                gp.verify_np_reduction(g)
+            twins += 1
+        else:
+            assert gp.verify_np_reduction(g) is True
+            plain += 1
+    assert (twins, plain) == (411, 583)
+
+
 def test_reduction_check_lists_the_derived_graph_at_most_once(monkeypatch):
     # The length check reads the pair pass; gpack_value's solve is the only walk.
     from geopack.verify import random_connected_bipartite_max3
@@ -758,7 +778,8 @@ def sparse_or_dense_graphs(draw):
 def test_the_pair_greedy_matches_the_greedy_over_the_catalog(g):
     catalog = gp.enumerate_maximal_geodesics(g)
     assert list(catalog.paths) == nx_maximal_geodesics(g)
-    packing = gp.geodesics._greedy_packing(g.adj, gp.geodesics._maximal_pairs(g.adj))
+    pairs = gp.geodesics._maximal_pairs(g.adj)
+    packing = list(gp.geodesics._greedy_packing(g.adj, pairs, ()))
     assert packing == greedy_packing_reference(catalog.paths)
     # P is a packing of maximal geodesics that no maximal geodesic misses,
     # so |P| <= gpack <= gt <= |V(P)|; the value solve, which may settle on
@@ -766,9 +787,39 @@ def test_the_pair_greedy_matches_the_greedy_over_the_catalog(g):
     covered = [v for path in packing for v in path]
     assert len(set(covered)) == len(covered)
     assert all(gp.is_maximal_geodesic(g, path) for path in packing)
-    assert gp.geodesics._is_transversal(g, covered)
+    assert not any(gp.geodesics._greedy_packing(g.adj, pairs, covered))
     gpack = gp.gpack_value(g)
     assert len(packing) <= gpack == gp.gpack_report(g).value <= gp.gt_value(g) <= len(covered)
+
+
+def test_gt_of_a_2d_grid_is_its_first_row_plus_first_column():
+    # gt = a + b - 1 on every a x b grid here, and the lex-least witness is
+    # the vertices labelled (0, j) or (i, 0). In general it is a conjecture.
+    for a in range(2, 7):
+        for b in range(a, 7):
+            g = gp.diagonal_grid((a, b))
+            cross = tuple(v for v, (i, j) in enumerate(g.labels) if i == 0 or j == 0)
+            report = gp.gt_report(g)
+            assert report.value == a + b - 1 == len(cross)
+            assert report.witness.vertices == cross
+
+
+def test_small_hypercubes():
+    # Q_d as nested products of K2; a label's weight is its number of ones.
+    cubes = {1: gp.path_graph(2)}
+    for d in range(2, 10):
+        cubes[d] = gp.cartesian_product(gp.path_graph(2), cubes[d - 1])
+    for d, gpack, gt in ((2, 1, 2), (3, 2, 3), (4, 2, 6), (5, 5, 10)):
+        assert gp.gpack_value(cubes[d]) == gpack
+        assert gp.gt_value(cubes[d]) == gt == math.comb(d, d // 2)
+    # The middle layer meets every maximal geodesic (each joins an antipodal
+    # pair, so its weight crosses d // 2), and less one vertex it does not.
+    for d in range(2, 10):
+        g = cubes[d]
+        pairs = gp.geodesics._maximal_pairs(g.adj)
+        middle = [v for v, label in enumerate(g.labels) if sum(label) == d // 2]
+        assert not any(gp.geodesics._greedy_packing(g.adj, pairs, middle))
+        assert any(gp.geodesics._greedy_packing(g.adj, pairs, middle[1:]))
 
 
 def test_a_settled_gpack_value_needs_no_catalog_past_the_cap():
